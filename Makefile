@@ -1,5 +1,5 @@
 .PHONY: all build check test bench bench-static bench-par bench-crash \
-	bench-json bench-fuzz bench-serve bench-exec bench-sim bench-opt \
+	bench-json bench-fuzz bench-serve bench-sim bench-opt \
 	fuzz-smoke serve-smoke sim-smoke opt-smoke trace-demo clean fmt
 
 all: build
@@ -43,20 +43,12 @@ bench-fuzz:
 bench-serve:
 	dune exec bench/main.exe -- table_serve --json BENCH_pr6.json
 
-# Compiled execution tier vs the reference interpreter: YCSB ops/s and
-# fuzz-family execs/s per tier, witness agreement, machine-readable
-# results at the repo root (CI artifact).
-bench-exec:
-	dune exec bench/main.exe -- table_exec --json BENCH_pr7.json
-
 # Bounded in-process serve smoke: fixed seed, two domains, exits
 # non-zero if the repaired variant disagrees with manual on any
-# verdict, the final count or the store digest. Pinned to the compiled
-# tier (the default, but CI states it explicitly).
+# verdict, the final count or the store digest.
 serve-smoke:
 	HIPPO_JOBS=2 dune exec bin/hippocrates_cli.exe -- serve --inproc \
-	  --exec compiled --smoke --seed 42 --records 2000 --ops 3000 \
-	  --workers 4 --jobs 2
+	  --smoke --seed 42 --records 2000 --ops 3000 --workers 4 --jobs 2
 
 # Fault-injecting scenario fleets: scenarios/s per mode with the
 # digest-identity cross-check at the benchmark's jobs width vs serial,
@@ -64,20 +56,16 @@ serve-smoke:
 bench-sim:
 	dune exec bench/main.exe -- table_sim --seed 42 --json BENCH_pr8.json
 
-# Deterministic simulation smoke across both execution tiers: standard
-# mode on the hand-hardened redis (must be clean, 0 exit) and chaos on
-# P-CLHT's buggy manual port (must detect, so the exit code is
-# inverted); both fleets run at two domains with reproducers saved
-# under sim-smoke/.
+# Deterministic simulation smoke: standard mode on the hand-hardened
+# redis (must be clean, 0 exit) and chaos on P-CLHT's buggy manual port
+# (must detect, so the exit code is inverted); both fleets run at two
+# domains with reproducers saved under sim-smoke/.
 sim-smoke:
 	HIPPO_JOBS=2 dune exec bin/hippocrates_cli.exe -- sim --app redis \
-	  --variant manual --mode standard --exec compiled --smoke --seed 42 \
-	  --jobs 2 --out sim-smoke
-	HIPPO_JOBS=2 dune exec bin/hippocrates_cli.exe -- sim --app redis \
-	  --variant manual --mode standard --exec interp --smoke --seed 42 \
+	  --variant manual --mode standard --smoke --seed 42 \
 	  --jobs 2 --out sim-smoke
 	! HIPPO_JOBS=2 dune exec bin/hippocrates_cli.exe -- sim --app pclht \
-	  --variant manual --mode chaos --exec compiled --smoke --seed 42 \
+	  --variant manual --mode chaos --smoke --seed 42 \
 	  --jobs 2 --out sim-smoke
 
 # Flush/fence optimizer gauntlet: per-rule unit semantics, the
@@ -98,7 +86,7 @@ bench-opt:
 # exits non-zero on any oracle violation, saves corpus + shrunk
 # reproducers under fuzz-smoke/.
 fuzz-smoke:
-	dune exec bin/hippocrates_cli.exe -- fuzz --exec compiled --smoke \
+	dune exec bin/hippocrates_cli.exe -- fuzz --smoke \
 	  --seed 42 --jobs 2 --corpus fuzz-smoke
 
 # One corpus case end to end with engine tracing: JSON-lines events to

@@ -34,11 +34,6 @@
                                       static sites removed, report
                                       identity, perfmodel cost deltas and
                                       the P-CLHT crash-verdict gauntlet
-     bench/main.exe table_exec      — compiled execution tier vs the
-                                      reference interpreter on the YCSB
-                                      and fuzz-smoke workloads (wall-clock
-                                      ops/s, cross-tier witness check;
-                                      --exec-ops sets the YCSB op count)
      bench/main.exe table_sim       — fault-injecting scenario fleets:
                                       scenarios/s per mode, crash and
                                       violation counts, digest identity
@@ -55,6 +50,7 @@
 open Hippo_pmir
 open Hippo_pmcheck
 open Hippo_core
+module Apply = Hippo_engine.Apply
 open Hippo_pmdk_mini
 open Hippo_apps
 
@@ -896,7 +892,7 @@ let table_serve () =
                   match
                     Drive.run_inproc ~pool ~app:kind ~variant
                       ~workload:Hippo_ycsb.Workload.A ~records:!serve_records
-                      ~ops:!serve_ops ~workers ~seed:!seed ()
+                      ~ops:!serve_ops ~workers ~seed:!seed
                   with
                   | Ok o -> (variant, o)
                   | Error e ->
@@ -1132,134 +1128,6 @@ let table_opt () =
         `Bool (List.for_all (fun (_, o, _, _) -> o.O.o_report_equal) rows) );
     ]
 
-(* exec — the compiled tier vs the reference interpreter -------------- *)
-
-let exec_ops = ref 200_000
-
-let table_exec () =
-  section
-    (Fmt.str
-       "exec — compiled tier vs the reference interpreter (%d YCSB ops, \
-        seed %d)"
-       !exec_ops !seed);
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* Row 1: YCSB workload A against a manual-Redis session — the serve
-     hot path (trace off, cost model on, unlimited fuel). The witness
-     (final count, machine steps, accumulated simulated ns) must agree
-     across tiers. *)
-  let ycsb_case exec =
-    let records = 2_000 in
-    let spec =
-      {
-        (Hippo_ycsb.Workload.default_spec Hippo_ycsb.Workload.A) with
-        record_count = records;
-        op_count = !exec_ops;
-      }
-    in
-    let ops = Hippo_ycsb.Workload.ops spec ~seed:!seed in
-    let prog = Redis_mini.build Redis_mini.Manual in
-    let config =
-      {
-        Interp.default_config with
-        Interp.trace = false;
-        fuel = max_int;
-        cost = Some Cost.default;
-        exec;
-      }
-    in
-    let s = Redis_mini.start ~config ~nbuckets:(max 64 (records / 8)) prog in
-    for k = 0 to records - 1 do
-      Redis_mini.op_insert s ~k ~version:0
-    done;
-    let (), wall = timed (fun () -> List.iter (Redis_mini.run_op s) ops) in
-    let witness =
-      Fmt.str "count=%d steps=%d cost=%.0f" (Redis_mini.count s)
-        (Interp.steps s.Redis_mini.interp)
-        (Interp.cost_ns s.Redis_mini.interp)
-    in
-    (float_of_int (List.length ops) /. wall, witness)
-  in
-  (* Row 2: the fuzz-smoke program family — {!Hippo_fuzz.Gen} programs
-     executed back to back on one machine each (the oracle's hot loop:
-     trace off, no cost model). The witness folds steps and bug counts
-     over every program. *)
-  let fuzz_case exec =
-    let nprogs = 32 and reps = 1_500 in
-    let rand = Hippo_parallel.Stream.state ~seed:!seed [ 7 ] in
-    let progs = List.init nprogs (fun _ -> Hippo_fuzz.Gen.random_mixed rand) in
-    let run () =
-      List.fold_left
-        (fun acc prog ->
-          let t =
-            Interp.create
-              {
-                Interp.default_config with
-                Interp.trace = false;
-                fuel = max_int;
-                exec;
-              }
-              prog
-          in
-          for _ = 1 to reps do
-            ignore (Exec.call t "main" [])
-          done;
-          Interp.exit_check t;
-          acc + Interp.steps t + List.length (Interp.bugs t))
-        0 progs
-    in
-    let acc, wall = timed run in
-    (float_of_int (nprogs * reps) /. wall, Fmt.str "acc=%d" acc)
-  in
-  let row name case =
-    let i_ops, i_witness = case `Interp in
-    let c_ops, c_witness = case `Compiled in
-    let speedup = c_ops /. i_ops in
-    let agree = String.equal i_witness c_witness in
-    Fmt.pr
-      "  %-12s interp %10.0f ops/s   compiled %10.0f ops/s   %6.1fx   \
-       agree: %s@."
-      name i_ops c_ops speedup
-      (if agree then "yes" else "NO");
-    (name, i_ops, c_ops, speedup, agree)
-  in
-  (* Sequence explicitly: list elements evaluate right to left, and the
-     rows print as a side effect of [row]. *)
-  let r_ycsb = row "ycsb-a" ycsb_case in
-  let r_fuzz = row "fuzz-smoke" fuzz_case in
-  let rows = [ r_ycsb; r_fuzz ] in
-  let speedup_of name =
-    let _, _, _, s, _ = List.find (fun (n, _, _, _, _) -> n = name) rows in
-    s
-  in
-  let ycsb_speedup = speedup_of "ycsb-a" in
-  Fmt.pr "  compiled is >=10x the interpreter on the YCSB row: %s@."
-    (if ycsb_speedup >= 10. then "yes" else "NO");
-  `Assoc
-    [
-      ("seed", `Int !seed);
-      ("ycsb_ops", `Int !exec_ops);
-      ( "rows",
-        `List
-          (List.map
-             (fun (name, i_ops, c_ops, speedup, agree) ->
-               `Assoc
-                 [
-                   ("workload", `String name);
-                   ("interp_ops_s", `Float i_ops);
-                   ("compiled_ops_s", `Float c_ops);
-                   ("speedup", `Float speedup);
-                   ("agree", `Bool agree);
-                 ])
-             rows) );
-      ("ycsb_speedup", `Float ycsb_speedup);
-      ("ycsb_speedup_ge_10", `Bool (ycsb_speedup >= 10.));
-      ("agree_all", `Bool (List.for_all (fun (_, _, _, _, a) -> a) rows));
-    ]
-
 (* ------------------------------------------------------------------ *)
 (* scenario simulator: fleet throughput per fault mode, plus the
    determinism cross-check (a fleet's digest must be byte-identical at
@@ -1455,11 +1323,6 @@ let () =
         | Some k when k >= 1 -> serve_ops := k
         | _ -> Fmt.epr "--serve-ops expects a positive integer, got %S@." n);
         strip_opts rest
-    | "--exec-ops" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some k when k >= 1 -> exec_ops := k
-        | _ -> Fmt.epr "--exec-ops expects a positive integer, got %S@." n);
-        strip_opts rest
     | a :: rest -> a :: strip_opts rest
     | [] -> []
   in
@@ -1506,7 +1369,6 @@ let () =
           | "table_fuzz" -> add_json "table_fuzz" (table_fuzz ())
           | "table_serve" -> add_json "table_serve" (table_serve ())
           | "table_opt" -> add_json "table_opt" (table_opt ())
-          | "table_exec" -> add_json "table_exec" (table_exec ())
           | "table_sim" -> add_json "table_sim" (table_sim ())
           | "micro" -> micro ()
           | other -> Fmt.epr "unknown experiment %S@." other)

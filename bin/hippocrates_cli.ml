@@ -15,6 +15,7 @@ open Cmdliner
 open Hippo_pmir
 open Hippo_pmcheck
 open Hippo_core
+module Apply = Hippo_engine.Apply
 
 let read_program path =
   try Ok (Parser.program_of_file path) with
@@ -34,10 +35,10 @@ let parse_args (args : string list) =
   try Ok (List.map int_of_string args)
   with Failure _ -> Error "entry arguments must be integers"
 
-let run_workload prog ~exec ~trace ~entry ~args =
-  let t = Interp.create { Interp.default_config with Interp.exec; trace } prog in
+let run_workload prog ~trace ~entry ~args =
+  let t = Interp.create { Interp.default_config with trace } prog in
   let ret =
-    try Ok (Exec.call t entry args) with
+    try Ok (Interp.call t entry args) with
     | Mem.Trap m -> Error (Fmt.str "trap: %s" m)
     | Interp.Aborted -> Error "abort() called"
     | Interp.Out_of_fuel -> Error "out of fuel"
@@ -82,19 +83,6 @@ let seed_arg =
         ~doc:"Root RNG seed for randomized modes (fuzzing, crash-point \
               sampling). Every worker derives its own substream from this \
               one value, so results are reproducible at any $(b,--jobs).")
-
-let exec_arg =
-  Arg.(
-    value
-    & opt (enum [ ("interp", `Interp); ("compiled", `Compiled) ])
-        Interp.default_config.Interp.exec
-    & info [ "exec" ] ~docv:"TIER"
-        ~doc:"Execution tier for PMIR workloads: $(b,compiled) (per-block \
-              closure compilation, the default) or $(b,interp) (the \
-              reference interpreter, kept as the differential oracle). \
-              Both tiers produce byte-identical traces, bug reports, \
-              crash verdicts and simulated costs; $(b,interp) exists for \
-              cross-checking and debugging.")
 
 type trace_format = Pmemcheck | Pmtest
 
@@ -165,11 +153,10 @@ let check_cmd =
                 points.")
   in
   let run prog_path entry args trace_out format static crash_sweep
-      crash_strategy crash_sample seed jobs exec =
+      crash_strategy crash_sample seed jobs =
     let ( let* ) = Result.bind in
-    let config = { Interp.default_config with Interp.exec } in
     let sampled_sweep prog ~setup ~checker =
-      let n = Crashsim.count_crash_points ~config prog ~setup in
+      let n = Crashsim.count_crash_points prog ~setup in
       let k = min crash_sample n in
       Fmt.pr "seed: %d (sampling %d of %d crash points)@." seed k n;
       let rand = Hippo_parallel.Stream.state ~seed [ 2 ] in
@@ -180,7 +167,7 @@ let check_cmd =
       let indices = List.sort compare (Hashtbl.fold (fun i () acc -> i :: acc) chosen []) in
       ( List.map
           (fun crash_index ->
-            Crashsim.check_crash ~config prog ~setup ~checker
+            Crashsim.check_crash prog ~setup ~checker
               ~checker_args:[] ~crash_index)
           indices,
         None )
@@ -196,7 +183,7 @@ let check_cmd =
               sampled_sweep prog ~setup:[ (entry, args) ] ~checker
             else
               let v, s =
-                Crashsim.sweep_with_stats ~config ~jobs:(max 1 jobs)
+                Crashsim.sweep_with_stats ~jobs:(max 1 jobs)
                   ~strategy:crash_strategy prog
                   ~setup:[ (entry, args) ]
                   ~checker ~checker_args:[]
@@ -262,7 +249,7 @@ let check_cmd =
       let* args = parse_args args in
       (* the event trace is only materialized when it is written out *)
       let t, ret =
-        run_workload prog ~exec ~trace:(trace_out <> None) ~entry ~args
+        run_workload prog ~trace:(trace_out <> None) ~entry ~args
       in
       (match ret with
       | Ok r -> Fmt.pr "%s(%a) returned %d@." entry Fmt.(list ~sep:comma int) args r
@@ -312,7 +299,7 @@ let check_cmd =
     Term.(
       const run $ prog_arg $ entry_arg $ entry_args_arg $ trace_out
       $ format_arg $ static_flag $ crash_sweep_arg $ crash_strategy_arg
-      $ crash_sample_arg $ seed_arg $ jobs_arg $ exec_arg)
+      $ crash_sample_arg $ seed_arg $ jobs_arg)
 
 (* fix --------------------------------------------------------------- *)
 
@@ -428,7 +415,7 @@ let fix_cmd =
                 is reverted if the static bug reports change at all.")
   in
   let run prog_path entry args trace_in output no_hoist oracle_choice format
-      portable diff detector optimize trace_out jobs exec =
+      portable diff detector optimize trace_out jobs =
     let ( let* ) = Result.bind in
     let result =
       let* prog = read_program prog_path in
@@ -488,13 +475,11 @@ let fix_cmd =
             else
               Ok (r.Driver.s_repaired, Fmt.str "%a" Driver.pp_static_summary r)
         | None ->
-            let workload t = ignore (Exec.call t entry args) in
+            let workload t = ignore (Interp.call t entry args) in
             let r =
               Driver.repair ~options ~detector ~trace
                 ?static_entries:(static_entries prog ~entry)
-                ~name:prog_path ~workload
-                ~config:{ Interp.default_config with Interp.exec }
-                prog
+                ~name:prog_path ~workload prog
             in
             if not (Verify.effective r.Driver.verification) then
               Error "verification failed: residual bugs after repair"
@@ -548,7 +533,7 @@ let fix_cmd =
     Term.(
       const run $ prog_arg $ entry_arg $ entry_args_arg $ trace_in $ output
       $ no_hoist $ oracle_choice $ format_arg $ portable_flag $ diff_flag
-      $ detector_arg $ optimize_flag $ trace_out $ jobs_arg $ exec_arg)
+      $ detector_arg $ optimize_flag $ trace_out $ jobs_arg)
 
 (* optimize ---------------------------------------------------------- *)
 
@@ -610,14 +595,14 @@ let optimize_cmd =
 (* run --------------------------------------------------------------- *)
 
 let run_cmd =
-  let run prog_path entry args exec =
+  let run prog_path entry args =
     let ( let* ) = Result.bind in
     let result =
       let* prog = read_program prog_path in
       let* () = validate_or_die prog in
       let* args = parse_args args in
       (* plain execution: nothing reads the event trace, so keep it off *)
-      let t, ret = run_workload prog ~exec ~trace:false ~entry ~args in
+      let t, ret = run_workload prog ~trace:false ~entry ~args in
       (match ret with
       | Ok r -> Fmt.pr "returned %d@." r
       | Error e -> Fmt.pr "execution stopped: %s@." e);
@@ -634,7 +619,7 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~exits ~doc:"Execute a PMIR program.")
-    Term.(const run $ prog_arg $ entry_arg $ entry_args_arg $ exec_arg)
+    Term.(const run $ prog_arg $ entry_arg $ entry_args_arg)
 
 (* fuzz -------------------------------------------------------------- *)
 
@@ -670,7 +655,7 @@ let fuzz_cmd =
           ~doc:"CI smoke mode: small fixed budget, fully deterministic \
                 output for a given $(b,--seed) at any $(b,--jobs).")
   in
-  let run time execs seed corpus_dir smoke jobs exec =
+  let run time execs seed corpus_dir smoke jobs =
     let max_execs =
       match execs with
       | Some e -> e
@@ -684,7 +669,6 @@ let fuzz_cmd =
         max_time = time;
         corpus_dir;
         smoke;
-        exec;
       }
     in
     Fmt.pr "fuzz: seed %d, budget %s@." seed
@@ -705,7 +689,7 @@ let fuzz_cmd =
              reproducers.")
     Term.(
       const run $ time_arg $ execs_arg $ seed_arg $ corpus_dir_arg
-      $ smoke_flag $ jobs_arg $ exec_arg)
+      $ smoke_flag $ jobs_arg)
 
 (* serve / loadgen ---------------------------------------------------- *)
 
@@ -807,13 +791,13 @@ let serve_cmd =
                 tests and benches); default: serve forever.")
   in
   let run app variant workload records ops workers inproc smoke unix_path
-      port expect_conns seed jobs exec =
+      port expect_conns seed jobs =
     let kind_name = Hippo_apps.App.kind_to_string app in
     if inproc || smoke then
       Hippo_parallel.Pool.run ~domains:(max 1 jobs) (fun pool ->
           let run_variant variant =
-            Hippo_serve.Drive.run_inproc ~exec ~pool ~app ~variant ~workload
-              ~records ~ops ~workers ~seed ()
+            Hippo_serve.Drive.run_inproc ~pool ~app ~variant ~workload
+              ~records ~ops ~workers ~seed
           in
           if smoke then
             match (run_variant Hippo_apps.App.Manual,
@@ -862,8 +846,7 @@ let serve_cmd =
           (* capacity hint: socket-mode traffic is bounded by the client's
              --records/--ops, which the server mirrors here *)
           let config =
-            Hippo_serve.Drive.serve_config ~exec
-              ~final_records:(records + ops) ()
+            Hippo_serve.Drive.serve_config ~final_records:(records + ops)
           in
           let nbuckets =
             Hippo_serve.Drive.serve_nbuckets ~final_records:(records + ops)
@@ -892,7 +875,7 @@ let serve_cmd =
     Term.(
       const run $ app_arg $ variant_arg $ workload_arg $ records_arg
       $ ops_arg $ workers_arg $ inproc_flag $ smoke_flag $ unix_arg
-      $ port_arg $ expect_conns_arg $ seed_arg $ jobs_arg $ exec_arg)
+      $ port_arg $ expect_conns_arg $ seed_arg $ jobs_arg)
 
 let loadgen_cmd =
   let skip_load_flag =
@@ -901,11 +884,7 @@ let loadgen_cmd =
       & info [ "skip-load" ]
           ~doc:"Skip the load phase (the server is already populated).")
   in
-  (* --exec is accepted so serve/loadgen scripts can pass one uniform flag
-     set; the generator itself is a pure socket client and executes no
-     PMIR — the tier in effect is the server's. *)
-  let run workload records ops workers unix_path port skip_load seed jobs
-      (_exec : [ `Interp | `Compiled ]) =
+  let run workload records ops workers unix_path port skip_load seed jobs =
     let connect =
       match (unix_path, port) with
       | Some path, None ->
@@ -944,8 +923,7 @@ let loadgen_cmd =
              per-worker op substreams.")
     Term.(
       const run $ workload_arg $ records_arg $ ops_arg $ workers_arg
-      $ unix_arg $ port_arg $ skip_load_flag $ seed_arg $ jobs_arg
-      $ exec_arg)
+      $ unix_arg $ port_arg $ skip_load_flag $ seed_arg $ jobs_arg)
 
 (* sim ---------------------------------------------------------------- *)
 
@@ -1015,19 +993,19 @@ let sim_cmd =
       & info [ "smoke" ]
           ~doc:"CI smoke preset: 4 scenarios of 60 ops over 24 keys; \
                 fully deterministic output for a given $(b,--seed) at any \
-                $(b,--jobs) and either $(b,--exec) tier.")
+                $(b,--jobs).")
   in
   let run app variant mode scenarios ops keyspace nbuckets out
-      no_differential smoke seed jobs exec =
+      no_differential smoke seed jobs =
     let scenarios, ops, keyspace =
       if smoke then (4, 60, 24) else (scenarios, ops, keyspace)
     in
     let cfg =
       {
-        Hippo_sim.Harness.kind = app;
+        Hippo_sim.Harness.default_config with
+        kind = app;
         variant;
         mode;
-        exec;
         seed;
         scenarios;
         ops;
@@ -1037,11 +1015,11 @@ let sim_cmd =
         differential = not no_differential;
       }
     in
-    Fmt.pr "sim: %s/%s mode=%s seed=%d scenarios=%d ops=%d exec=%s@."
+    Fmt.pr "sim: %s/%s mode=%s seed=%d scenarios=%d ops=%d@."
       (Hippo_apps.App.kind_to_string app)
       (Hippo_apps.App.variant_to_string variant)
       (Hippo_sim.Harness.mode_to_string mode)
-      seed scenarios ops (Exec.tier_to_string exec);
+      seed scenarios ops;
     match Hippo_sim.Harness.run cfg with
     | Error e ->
         Fmt.epr "error: %s@." e;
@@ -1093,7 +1071,7 @@ let sim_cmd =
     Term.(
       const run $ app_arg $ variant_arg $ mode_arg $ scenarios_arg
       $ sim_ops_arg $ keyspace_arg $ nbuckets_arg $ out_arg
-      $ no_differential_flag $ smoke_flag $ seed_arg $ jobs_arg $ exec_arg)
+      $ no_differential_flag $ smoke_flag $ seed_arg $ jobs_arg)
 
 (* corpus ------------------------------------------------------------ *)
 

@@ -7,6 +7,7 @@
 open Hippo_pmir
 open Hippo_pmcheck
 open Hippo_core
+module Heuristic = Hippo_engine.Heuristic
 
 let v = Value.reg
 let i = Value.imm

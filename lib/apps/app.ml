@@ -148,20 +148,20 @@ let rec redis_adapter ~name ~nbuckets config prog ?pm_image () : t =
       (fun ~key ~value ->
         put_key key;
         put_value value;
-        ignore (Exec.call s.Redis_mini.interp "cmd_set" []));
+        ignore (Interp.call s.Redis_mini.interp "cmd_set" []));
     read =
       (fun ~key ->
         put_key key;
-        let vl = Exec.call s.Redis_mini.interp "cmd_get" [] in
+        let vl = Interp.call s.Redis_mini.interp "cmd_get" [] in
         if vl < 0 then Absent
         else Found (Mem.read_string mem ~addr:s.Redis_mini.reply_buf ~len:vl));
     delete =
       (fun ~key ->
         put_key key;
-        Exec.call s.Redis_mini.interp "cmd_del" [] = 1);
+        Interp.call s.Redis_mini.interp "cmd_del" [] = 1);
     scan = (fun ~start:_ ~len:_ -> Scan_unsupported);
-    count = (fun () -> Exec.call s.Redis_mini.interp "cmd_count" []);
-    check = (fun () -> Exec.call s.Redis_mini.interp "cmd_check" [] <> 0);
+    count = (fun () -> Interp.call s.Redis_mini.interp "cmd_count" []);
+    check = (fun () -> Interp.call s.Redis_mini.interp "cmd_check" [] <> 0);
     cost_ns = (fun () -> Interp.cost_ns s.Redis_mini.interp);
     echo = (fun v -> v);
     reopen =
@@ -195,7 +195,7 @@ let rec pclht_adapter ~name ~nbuckets config prog ?pm_image () : t =
         Pclht.recover_attach
           (Interp.create ~pm_image:img ~pm_brk:brk config prog)
   in
-  let call f args = Exec.call s.Pclht.interp f args in
+  let call f args = Interp.call s.Pclht.interp f args in
   {
     name;
     interp = s.Pclht.interp;

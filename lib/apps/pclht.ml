@@ -208,7 +208,7 @@ let key_of k = k + 1
 let value_of ~k ~version = ((k + 1) * 8) + version + 1
 
 let attach ?(nbuckets = 1024) interp : session =
-  let hdr = Exec.call interp "clht_init" [ nbuckets ] in
+  let hdr = Interp.call interp "clht_init" [ nbuckets ] in
   { interp; hdr_addr = hdr }
 
 (* Sessions are hot paths (the load generator drives millions of ops):
@@ -223,7 +223,7 @@ let start ?(config = { Interp.default_config with Interp.trace = false })
     it; the verdict is discarded here — callers judge consistency with
     {!check}. *)
 let recover_attach interp : session =
-  ignore (Exec.call interp "clht_recover_check" []);
+  ignore (Interp.call interp "clht_recover_check" []);
   let hdr =
     Mem.load (Interp.mem interp)
       ~addr:(Interp.global_addr interp "g_clht")
@@ -232,19 +232,19 @@ let recover_attach interp : session =
   { interp; hdr_addr = hdr }
 
 let op_insert s ~k ~version =
-  ignore (Exec.call s.interp "clht_put" [ key_of k; value_of ~k ~version ])
+  ignore (Interp.call s.interp "clht_put" [ key_of k; value_of ~k ~version ])
 
 (** Returns the stored value word, or 0 when absent. *)
-let op_read s ~k = Exec.call s.interp "clht_get" [ key_of k ]
+let op_read s ~k = Interp.call s.interp "clht_get" [ key_of k ]
 
-let op_delete s ~k = Exec.call s.interp "clht_del" [ key_of k ]
+let op_delete s ~k = Interp.call s.interp "clht_del" [ key_of k ]
 
 (** The table's size field (header offset 24), read host-side: CLHT has
     no size query function. *)
 let count s =
   Mem.load (Interp.mem s.interp) ~addr:(s.hdr_addr + 24) ~size:8
 
-let check s = Exec.call s.interp "clht_check" [] <> 0
+let check s = Interp.call s.interp "clht_check" [] <> 0
 
 (** CLHT has no ordered iteration, so [Scan] degrades to point lookups
     of the [len] keys following the start key (exactly what
@@ -267,18 +267,18 @@ let run_op s (op : Hippo_ycsb.Workload.op) =
     update, lookup and deletion traffic. 60 keys into 16 three-slot
     buckets force overflow chains, exercising the buggy link path. *)
 let workload (t : Interp.t) =
-  ignore (Exec.call t "clht_init" [ 16 ]);
+  ignore (Interp.call t "clht_init" [ 16 ]);
   for k = 1 to 60 do
-    ignore (Exec.call t "clht_put" [ k; k * 100 ])
+    ignore (Interp.call t "clht_put" [ k; k * 100 ])
   done;
   for k = 1 to 10 do
-    ignore (Exec.call t "clht_put" [ k; k * 200 ]) (* updates: bug 1 *)
+    ignore (Interp.call t "clht_put" [ k; k * 200 ]) (* updates: bug 1 *)
   done;
   for k = 1 to 60 do
-    ignore (Exec.call t "clht_get" [ k ])
+    ignore (Interp.call t "clht_get" [ k ])
   done;
-  ignore (Exec.call t "clht_del" [ 7 ]);
-  ignore (Exec.call t "clht_del" [ 23 ])
+  ignore (Interp.call t "clht_del" [ 7 ]);
+  ignore (Interp.call t "clht_del" [ 23 ])
 
 (** Injected-bug ground truth for the corpus harness. *)
 let cases : Hippo_pmdk_mini.Case.t list =

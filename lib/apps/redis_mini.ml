@@ -339,7 +339,7 @@ let val_cap = 96
     connection buffers (used when the interpreter is owned by a repair or
     measurement harness). *)
 let attach ?(nbuckets = 1024) interp : session =
-  ignore (Exec.call interp "server_init" [ nbuckets ]);
+  ignore (Interp.call interp "server_init" [ nbuckets ]);
   let mem = Interp.mem interp in
   let g name = Interp.global_addr interp name in
   let deref name = Mem.load mem ~addr:(g name) ~size:8 in
@@ -405,15 +405,15 @@ let set_value s ~k ~version =
 let op_insert s ~k ~version =
   set_key s k;
   set_value s ~k ~version;
-  ignore (Exec.call s.interp "cmd_set" [])
+  ignore (Interp.call s.interp "cmd_set" [])
 
 let op_read s ~k =
   set_key s k;
-  Exec.call s.interp "cmd_get" []
+  Interp.call s.interp "cmd_get" []
 
 let op_delete s ~k =
   set_key s k;
-  Exec.call s.interp "cmd_del" []
+  Interp.call s.interp "cmd_del" []
 
 let run_op s (op : Hippo_ycsb.Workload.op) =
   match op with
@@ -428,4 +428,4 @@ let run_op s (op : Hippo_ycsb.Workload.op) =
       ignore (op_read s ~k);
       op_insert s ~k ~version:2
 
-let count s = Exec.call s.interp "cmd_count" []
+let count s = Interp.call s.interp "cmd_count" []

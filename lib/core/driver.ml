@@ -24,7 +24,7 @@ type options = E.Context.options = {
   hoisting : bool;  (** Phase 3 on/off (off = the H-intra configuration) *)
   reduction : bool;  (** Phase 2 on/off (ablation A2) *)
   clone_reuse : bool;  (** share persistent subprograms (ablation A1) *)
-  style : Apply.style;  (** raw clwb/sfence vs portable libpmem calls *)
+  style : E.Apply.style;  (** raw clwb/sfence vs portable libpmem calls *)
   jobs : int;  (** domain budget for parallel passes; 1 = fully serial *)
 }
 
@@ -34,9 +34,9 @@ type result = {
   target : string;
   bugs : Report.bug list;
   plan : Fix.plan;
-  decisions : Heuristic.decision list;
+  decisions : E.Heuristic.decision list;
   repaired : Program.t;
-  apply_stats : Apply.stats;
+  apply_stats : E.Apply.stats;
   verification : Verify.outcome;
   raw_fix_count : int;
   reduce_eliminated : int;
@@ -55,7 +55,7 @@ let peak_heap_bytes () =
     plan for externally-supplied bug reports (e.g. parsed from an on-disk
     trace file, the artifact's command-line mode). *)
 let plan ?(options = default_options) ?cache ?trace ~oracle prog
-    (bugs : Report.bug list) : Fix.plan * Heuristic.decision list * int =
+    (bugs : Report.bug list) : Fix.plan * E.Heuristic.decision list * int =
   E.Engine.plan ~options ?cache ?trace ~oracle prog bugs
 
 type detector = E.Detector.choice = Dynamic | Static | Both
@@ -97,9 +97,9 @@ type static_result = {
   s_target : string;
   s_bugs : Report.bug list;
   s_plan : Fix.plan;
-  s_decisions : Heuristic.decision list;
+  s_decisions : E.Heuristic.decision list;
   s_repaired : Program.t;
-  s_apply : Apply.stats;
+  s_apply : E.Apply.stats;
   s_residual : Report.bug list;
   s_checker : Hippo_staticcheck.Checker.stats;
   s_time : float;

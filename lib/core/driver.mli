@@ -29,7 +29,8 @@ type options = Hippo_engine.Context.options = {
   hoisting : bool;  (** Phase 3 on/off (off = the H-intra configuration) *)
   reduction : bool;  (** Phase 2 on/off (ablation A2) *)
   clone_reuse : bool;  (** share persistent subprograms (ablation A1) *)
-  style : Apply.style;  (** raw clwb/sfence vs portable libpmem calls *)
+  style : Hippo_engine.Apply.style;
+      (** raw clwb/sfence vs portable libpmem calls *)
   jobs : int;
       (** domain budget for parallel passes (the verify pass runs the
           original and repaired workload executions concurrently when
@@ -43,9 +44,9 @@ type result = {
   target : string;
   bugs : Report.bug list;
   plan : Fix.plan;
-  decisions : Heuristic.decision list;
+  decisions : Hippo_engine.Heuristic.decision list;
   repaired : Program.t;
-  apply_stats : Apply.stats;
+  apply_stats : Hippo_engine.Apply.stats;
   verification : Verify.outcome;
   raw_fix_count : int;
   reduce_eliminated : int;
@@ -69,7 +70,7 @@ val plan :
   oracle:Hippo_alias.Oracle.t ->
   Program.t ->
   Report.bug list ->
-  Fix.plan * Heuristic.decision list * int
+  Fix.plan * Hippo_engine.Heuristic.decision list * int
 
 (** Which bug finder seeds the repair. [Dynamic] is the paper's pipeline
     (pmemcheck-style tracing); [Static] takes the reports of
@@ -111,9 +112,9 @@ type static_result = {
   s_target : string;
   s_bugs : Report.bug list;
   s_plan : Fix.plan;
-  s_decisions : Heuristic.decision list;
+  s_decisions : Hippo_engine.Heuristic.decision list;
   s_repaired : Program.t;
-  s_apply : Apply.stats;
+  s_apply : Hippo_engine.Apply.stats;
   s_residual : Report.bug list;  (** static bugs left after repair *)
   s_checker : Hippo_staticcheck.Checker.stats;
   s_time : float;

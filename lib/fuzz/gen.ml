@@ -211,5 +211,5 @@ let random_crash rand =
   program_of_steps ~checker:true (QCheck.Gen.generate1 ~rand gen_crash_steps)
 
 let has_checker p = Program.mem p checker_name
-let workload t = ignore (Hippo_pmcheck.Exec.call t "main" [])
+let workload t = ignore (Hippo_pmcheck.Interp.call t "main" [])
 let setup = [ ("main", []) ]

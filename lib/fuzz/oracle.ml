@@ -82,10 +82,10 @@ let hot_blocks prog edges =
     (Program.funcs prog);
   Hashtbl.fold (fun k () acc -> k :: acc) hot [] |> List.sort compare
 
-let coverage_edges ?(exec = interp_config.Interp.exec) prog =
+let coverage_edges prog =
   let cov = Coverage.create () in
-  let config = { interp_config with coverage = Some cov; trace = false; exec } in
-  let _t, _ret = Exec.run ~config prog ~entry:"main" ~args:[] in
+  let config = { interp_config with coverage = Some cov; trace = false } in
+  let _t, _ret = Interp.run ~config prog ~entry:"main" ~args:[] in
   Coverage.to_list cov
 
 let pp_verdicts ppf vs =
@@ -95,15 +95,14 @@ let pp_verdicts ppf vs =
         v.pessimistic_ok v.lucky_ok)
     vs
 
-let evaluate_exn ?(exec = interp_config.Interp.exec) prog =
-  let interp_config = { interp_config with Interp.exec } in
+let evaluate_exn prog =
   let violations = ref [] in
   let flag oracle detail = violations := { oracle; detail } :: !violations in
   (* dynamic run: coverage + bug reports. Bug collection does not need the
      event trace (seq numbers advance either way), so leave it off. *)
   let cov = Coverage.create () in
   let config = { interp_config with coverage = Some cov; trace = false } in
-  let t, _ret = Exec.run ~config prog ~entry:"main" ~args:[] in
+  let t, _ret = Interp.run ~config prog ~entry:"main" ~args:[] in
   let dynamic = Interp.bugs t in
   let edges = Coverage.to_list cov in
   (* O1: every dynamic site must be covered by a static report *)
@@ -205,8 +204,8 @@ let evaluate_exn ?(exec = interp_config.Interp.exec) prog =
     memo_misses = Crashsim.Memo.misses memo;
   }
 
-let evaluate ?exec prog =
-  try evaluate_exn ?exec prog
+let evaluate prog =
+  try evaluate_exn prog
   with e ->
     {
       edges = [];
@@ -222,5 +221,5 @@ let evaluate ?exec prog =
       memo_misses = 0;
     }
 
-let fails ?exec ~oracle prog =
-  List.exists (fun v -> v.oracle = oracle) (evaluate ?exec prog).violations
+let fails ~oracle prog =
+  List.exists (fun v -> v.oracle = oracle) (evaluate prog).violations

@@ -48,14 +48,12 @@ type outcome = {
     16 MiB PM arena per exec would dominate the run). *)
 val interp_config : Hippo_pmcheck.Interp.config
 
-(** Run every applicable oracle on one candidate. [?exec] selects the
-    execution tier for every run the oracles make (default: the
-    {!Hippo_pmcheck.Interp.default_config} tier). *)
-val evaluate : ?exec:Hippo_pmcheck.Exec.tier -> Program.t -> outcome
+(** Run every applicable oracle on one candidate. *)
+val evaluate : Program.t -> outcome
 
 (** Coverage-only execution (the blind-generation baseline): run [main],
     return the marked edges, skip all oracles. *)
-val coverage_edges : ?exec:Hippo_pmcheck.Exec.tier -> Program.t -> int list
+val coverage_edges : Program.t -> int list
 
 (** [hot_blocks p edges] recovers the (func, block) pairs observed to
     execute from a marked edge set, by re-hashing every potential edge of
@@ -65,4 +63,4 @@ val hot_blocks : Program.t -> int list -> (string * string) list
 
 (** [fails ~oracle p] re-evaluates [p] and reports whether the named
     oracle still finds a violation — the shrinker's predicate. *)
-val fails : ?exec:Hippo_pmcheck.Exec.tier -> oracle:string -> Program.t -> bool
+val fails : oracle:string -> Program.t -> bool

@@ -93,7 +93,7 @@ let recover ~config prog ~checker ~checker_args image =
     { config with Interp.stop_at_crash = None; trace = false; track_images = false }
   in
   let t = Interp.create ~pm_image:image cfg prog in
-  match Exec.call t checker checker_args with
+  match Interp.call t checker checker_args with
   | r -> r <> 0
   | exception (Mem.Trap _ | Interp.Aborted) -> false
 
@@ -116,7 +116,7 @@ let check_crash ?(config = Interp.default_config) prog
   let t = Interp.create cfg prog in
   let stopped =
     try
-      List.iter (fun (f, args) -> ignore (Exec.call t f args)) setup;
+      List.iter (fun (f, args) -> ignore (Interp.call t f args)) setup;
       false
     with Interp.Stopped_at_crash -> true
   in
@@ -139,7 +139,7 @@ let count_crash_points ?(config = Interp.default_config) prog
     { config with Interp.stop_at_crash = None; trace = false; track_images = false }
   in
   let t = Interp.create cfg prog in
-  List.iter (fun (f, args) -> ignore (Exec.call t f args)) setup;
+  List.iter (fun (f, args) -> ignore (Interp.call t f args)) setup;
   Interp.crash_points_hit t
 
 (* The historical strategy: one full replay per crash point, fanned out
@@ -194,7 +194,7 @@ let single_pass_sweep ?(config = Interp.default_config) ~jobs ~memo ~prog_sig
       capture dp (fun () -> Mem.snapshot_durable mem);
       capture dl (fun () -> Mem.snapshot_working mem);
       points := (Interp.crash_points_hit t, dp, dl) :: !points);
-  List.iter (fun (f, args) -> ignore (Exec.call t f args)) setup;
+  List.iter (fun (f, args) -> ignore (Interp.call t f args)) setup;
   let points = List.rev !points in
   let order = List.rev !order in
   let key image = { Memo.prog_sig; checker; checker_args; image } in

@@ -1,40 +1,3 @@
-(** Tier dispatch: one entry point over {!Interp} and {!Compile}.
+(* An alias kept for the benchmark harness; see exec.mli. *)
 
-    Every consumer that used to call [Interp.call]/[Interp.run] now goes
-    through here and gets whichever tier [config.exec] selects; the two
-    tiers are bit-identical on every observable (trace, bugs, output,
-    [cost_ns], coverage, crash images, seq numbers), so the choice is pure
-    performance. [Interp.call] itself always interprets — that is what
-    makes it the differential oracle. *)
-
-type tier = Machine.tier
-
-let tier_to_string : tier -> string = function
-  | `Interp -> "interp"
-  | `Compiled -> "compiled"
-
-let tier_of_string : string -> (tier, string) result = function
-  | "interp" -> Ok `Interp
-  | "compiled" -> Ok `Compiled
-  | s ->
-      Error
-        (Printf.sprintf "unknown execution tier %S (expected interp|compiled)"
-           s)
-
-let call (t : Machine.t) name args =
-  match t.Machine.cfg.Machine.exec with
-  | `Interp -> Interp.call t name args
-  | `Compiled -> Compile.call t name args
-
-(** One-shot convenience mirroring {!Interp.run}, dispatching on
-    [config.exec]. *)
-let run ?pm_image ?(config = Machine.default_config) prog ~entry ~args =
-  let t = Machine.create ?pm_image config prog in
-  let ret =
-    try Ok (call t entry args) with
-    | Machine.Stopped_at_crash -> Error `Stopped_at_crash
-    | Machine.Aborted -> Error `Aborted
-    | Machine.Out_of_fuel -> Error `Out_of_fuel
-  in
-  (match ret with Ok _ -> Machine.exit_check t | Error _ -> ());
-  (t, ret)
+let call = Interp.call

@@ -1,29 +1,7 @@
-(** Tier dispatch: one entry point over {!Interp} (the differential
-    oracle) and {!Compile} (the closure-threaded tier).
+(** Kept only for [benchmark/fuzz_campaign.ml], which calls {!call} and
+    may not be edited outside a benchmark revision. Everything else calls
+    {!Interp.call} directly; the next benchmark revision should switch to
+    it and delete this module. *)
 
-    [config.exec] selects the tier; both produce bit-identical traces,
-    bugs, output, [cost_ns], coverage and crash images, so callers choose
-    on performance alone. *)
-
-type tier = Machine.tier
-
-val tier_to_string : tier -> string
-
-(** Parses ["interp"] / ["compiled"] (the CLI [--exec] values). *)
-val tier_of_string : string -> (tier, string) result
-
-(** [call t name args] invokes a function from the host through the tier
-    named by [t]'s config. Raises {!Mem.Trap}, {!Interp.Aborted},
-    {!Interp.Out_of_fuel} or {!Interp.Stopped_at_crash}, exactly like
-    {!Interp.call}. *)
+(** [call] is {!Interp.call}. *)
 val call : Machine.t -> string -> int list -> int
-
-(** One-shot convenience mirroring {!Interp.run} but honouring
-    [config.exec]. *)
-val run :
-  ?pm_image:Bytes.t ->
-  ?config:Machine.config ->
-  Hippo_pmir.Program.t ->
-  entry:string ->
-  args:int list ->
-  Machine.t * (int, [ `Stopped_at_crash | `Aborted | `Out_of_fuel ]) result

@@ -5,11 +5,8 @@
     fences, calls — each with its call stack), and reports every store that
     is not durable when a crash point or program exit is reached.
 
-    Since the compiled tier ({!Compile}) landed, this module is the
-    differential {e oracle}: a direct, obviously-correct walk over the
-    prepared code shared with the compiler ({!Prep}), against which the
-    compiled closures are checked bit for bit. [Interp.call] always
-    interprets; use {!Exec.call} to dispatch on [config.exec]. *)
+    It is a direct walk over the prepared code ({!Prep}) that updates the
+    shared machine state ({!Machine}), and the only execution tier. *)
 
 open Hippo_pmir
 open Prep
@@ -26,7 +23,6 @@ type config = Machine.config = {
   stop_at_crash : int option;
   track_images : bool;
   coverage : Coverage.t option;
-  exec : Machine.tier;
   vol_size : int;
   stack_size : int;
   global_size : int;
@@ -247,10 +243,8 @@ let rec exec_call (t : Machine.t) (pf : pfunc) (args : int array) : int =
   !result
 
 (** [call t name args] invokes a function from the host (as the test driver
-    invokes the program under valgrind) — always through the interpreter,
-    whatever [config.exec] says; this is what makes it the oracle. The
-    persistency state, the trace and detected bugs accumulate across
-    calls. *)
+    invokes the program under valgrind). The persistency state, the trace
+    and detected bugs accumulate across calls. *)
 let call t name args =
   match Hashtbl.find_opt t.fidx name with
   | None -> Mem.trap "call to undefined function @%s" name

@@ -9,10 +9,8 @@
     become code indices, callees become function indices — see {!Prep}),
     which makes the YCSB benchmark workloads tractable.
 
-    [Interp.call] {e always} interprets, whatever [config.exec] says —
-    that discipline is what makes it the differential oracle for the
-    compiled tier. Use {!Exec.call} when the caller should honour the
-    configured tier.
+    This is the only way PMIR runs: every detector, crash sweep, fuzz
+    oracle, simulated fleet and served store executes through {!call}.
 
     A typical bug-finding session:
     {[
@@ -45,9 +43,6 @@ type config = Machine.config = {
       (** mark executed control edges in this map (the fuzzer's guidance
           signal); [None] (the default) skips all marking — the hot loop
           only tests one immutable field per branch *)
-  exec : Machine.tier;
-      (** which tier {!Exec} dispatches to (default [`Compiled]); ignored
-          by [Interp.call]/[Interp.run], which always interpret *)
   vol_size : int;
   stack_size : int;
   global_size : int;
@@ -76,10 +71,9 @@ val set_crash_hook : t -> (unit -> unit) -> unit
 val crash_points_hit : t -> int
 
 (** [call t name args] invokes a function from the host (as a test driver
-    invokes the program under valgrind), always through the interpreter.
-    Persistency state, trace and detected bugs accumulate across calls.
-    Raises {!Mem.Trap}, {!Aborted}, {!Out_of_fuel} or
-    {!Stopped_at_crash}. *)
+    invokes the program under valgrind). Persistency state, trace and
+    detected bugs accumulate across calls. Raises {!Mem.Trap},
+    {!Aborted}, {!Out_of_fuel} or {!Stopped_at_crash}. *)
 val call : t -> string -> int list -> int
 
 (** [exit_check t] performs the implicit crash point at program exit:

@@ -1,18 +1,14 @@
-(** Machine state shared by both execution tiers.
+(** Machine state for the interpreter.
 
     Owns everything an execution accumulates — memory, persistency state,
     trace, bugs, output, simulated cost, coverage, crash points — plus the
-    run configuration. The interpreter ({!Interp}) and the compiled tier
-    ({!Compile}) are two dispatch strategies over this one state, which is
-    what makes their results comparable bit for bit. *)
+    run configuration. {!Interp} is the dispatch loop over this state. *)
 
 open Hippo_pmir
 
 exception Aborted
 exception Out_of_fuel
 exception Stopped_at_crash
-
-type tier = [ `Interp | `Compiled ]
 
 type config = {
   trace : bool;  (** record the PM operation trace *)
@@ -23,7 +19,6 @@ type config = {
   coverage : Coverage.t option;
       (** mark executed control edges in this map (the fuzzer's signal);
           [None] (the default) skips all marking *)
-  exec : tier;  (** which execution tier {!Exec} dispatches to *)
   vol_size : int;
   stack_size : int;
   global_size : int;
@@ -44,7 +39,6 @@ let default_config =
     stop_at_crash = None;
     track_images = false;
     coverage = None;
-    exec = `Compiled;
     vol_size = 1 lsl 24;
     stack_size = 1 lsl 22;
     global_size = 1 lsl 20;
@@ -52,7 +46,7 @@ let default_config =
   }
 
 (* The simulated-latency accumulator lives in its own all-float record so
-   both tiers update it in place: a [mutable float] in the mixed-field
+   the interpreter updates it in place: a [mutable float] in the mixed-field
    state record below would re-box on every addition, which is the single
    largest per-instruction allocation when cost accounting is on. *)
 type fcell = { mutable fv : float }
@@ -65,8 +59,6 @@ type t = {
   ps : Pstate.t;
   cfg : config;
   cov : Coverage.t option;  (** = [cfg.coverage], hoisted for the hot loop *)
-  compiled : (int array -> int) option array;
-      (** per-function entry closures, built lazily by {!Compile} *)
   cost_acc : fcell;
   mutable seq : int;
   mutable steps : int;
@@ -78,8 +70,7 @@ type t = {
       (** dynamic fault injection: stop when [crashes_hit] reaches this
           absolute count, like [cfg.stop_at_crash] but re-armable on a
           live machine (the simulation harness injects crashes mid-run
-          without rebuilding the session; tier-uniform because both
-          dispatch loops share {!record_crash_point}) *)
+          without rebuilding the session) *)
   mutable crash_hook : (unit -> unit) option;
       (** fired at every explicit crash point (the single-pass sweep's
           image-capture callback) *)
@@ -108,7 +99,6 @@ let create ?pm_image ?pm_brk (cfg : config) (prog : Program.t) : t =
     ps = Pstate.create ();
     cfg;
     cov = cfg.coverage;
-    compiled = Array.make (Array.length pfuncs) None;
     cost_acc = { fv = 0.0 };
     seq = 0;
     steps = 0;
@@ -130,7 +120,7 @@ let set_crash_hook t f = t.crash_hook <- Some f
     {!crash_points_hit}); [disarm_crash] cancels it. Unlike
     [cfg.stop_at_crash] this is mutable on a live machine, so a fault
     injector can arm crash [k] for one workload call and disarm (or
-    re-arm) for the next — identically in both tiers. *)
+    re-arm) for the next. *)
 let arm_crash t ~at = t.armed_crash <- Some at
 let disarm_crash t = t.armed_crash <- None
 

@@ -1,13 +1,11 @@
-(** Machine state shared by both execution tiers.
+(** Machine state for the interpreter.
 
     One state record owns everything an execution accumulates — memory,
     persistency state, trace, bugs, output, simulated cost, coverage,
-    crash points. {!Interp} (the oracle) and {!Compile} (the fast tier)
-    are two dispatch strategies over this state; {!Exec} picks between
-    them from [config.exec].
+    crash points. {!Interp} walks prepared code ({!Prep}) over it.
 
-    The record is exposed concretely because the dispatch loops live in
-    sibling modules and field access must not cost a function call. Treat
+    The record is exposed concretely because the dispatch loop lives in a
+    sibling module and field access must not cost a function call. Treat
     it as read-only outside [lib/pmcheck]. *)
 
 open Hippo_pmir
@@ -15,8 +13,6 @@ open Hippo_pmir
 exception Aborted
 exception Out_of_fuel
 exception Stopped_at_crash
-
-type tier = [ `Interp | `Compiled ]
 
 type config = {
   trace : bool;  (** record the PM operation trace *)
@@ -27,7 +23,6 @@ type config = {
   coverage : Coverage.t option;
       (** mark executed control edges in this map (the fuzzer's signal);
           [None] (the default) skips all marking *)
-  exec : tier;  (** which execution tier {!Exec} dispatches to *)
   vol_size : int;
   stack_size : int;
   global_size : int;
@@ -47,8 +42,6 @@ type t = {
   ps : Pstate.t;
   cfg : config;
   cov : Coverage.t option;  (** = [cfg.coverage], hoisted for the hot loop *)
-  compiled : (int array -> int) option array;
-      (** per-function entry closures, built lazily by {!Compile} *)
   cost_acc : fcell;
   mutable seq : int;
   mutable steps : int;
@@ -71,8 +64,7 @@ val set_crash_hook : t -> (unit -> unit) -> unit
     {!crash_points_hit}). Unlike [cfg.stop_at_crash] it is mutable on a
     live machine: the simulation harness arms a crash for one workload
     call and disarms for the next, without rebuilding the session.
-    Honoured identically by both tiers (the check lives in
-    {!record_crash_point}). *)
+    The check lives in {!record_crash_point}. *)
 val arm_crash : t -> at:int -> unit
 
 val disarm_crash : t -> unit
@@ -83,7 +75,7 @@ val classify_arg : int -> Trace.arg_class
 
 (** [record_crash_point t ~iid ~loc] advances the crash-point counter,
     records the trace event, collects unpersisted-store bugs, fires the
-    crash hook and honours [stop_at_crash] — identically in both tiers. *)
+    crash hook and honours [stop_at_crash]. *)
 val record_crash_point : t -> iid:Iid.t option -> loc:Loc.t -> unit
 
 (** The implicit crash point at program exit. *)

@@ -145,93 +145,6 @@ let store t ~addr ~size v =
       if off + size > tr.hi then tr.hi <- off + size
   | _ -> write_value buf off size v
 
-(* Size-specialized accessors for the compiled execution tier: access size
-   (and, for stores, whether image tracking is on) is fixed when a closure
-   is compiled, so the per-access size dispatch and the (buf, off) tuple of
-   [resolve] disappear. Bounds checks and trap messages are identical to
-   [load]/[store]; the checked access is then performed with the unsafe
-   primitives (one bounds check instead of two). The region base is always
-   the address's top nibble, so the in-buffer offset is a mask away.
-   [@inline] matters: without flambda these are only inlined into the
-   compiled tier's closures when explicitly requested. *)
-
-external unsafe_get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
-external unsafe_get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
-external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external unsafe_set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
-external unsafe_set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
-external unsafe_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
-
-let[@inline] buf_for t addr =
-  match Layout.region_of_addr addr with
-  | Layout.Vol_heap -> t.vol
-  | Layout.Stack -> t.stack
-  | Layout.Globals -> t.globals
-  | Layout.Pm -> t.pm
-  | Layout.Null_page -> trap "null-page access at 0x%x" addr
-  | Layout.Wild -> trap "wild access at 0x%x" addr
-
-let[@inline] load1 t addr =
-  let buf = buf_for t addr in
-  let off = addr land 0x0FFF_FFFF in
-  if off + 1 > Bytes.length buf then
-    trap "out-of-bounds access at 0x%x (size %d)" addr 1;
-  Char.code (Bytes.unsafe_get buf off)
-
-let[@inline] load2 t addr =
-  let buf = buf_for t addr in
-  let off = addr land 0x0FFF_FFFF in
-  if off + 2 > Bytes.length buf then
-    trap "out-of-bounds access at 0x%x (size %d)" addr 2;
-  unsafe_get16 buf off
-
-let[@inline] load4 t addr =
-  let buf = buf_for t addr in
-  let off = addr land 0x0FFF_FFFF in
-  if off + 4 > Bytes.length buf then
-    trap "out-of-bounds access at 0x%x (size %d)" addr 4;
-  Int32.to_int (unsafe_get32 buf off) land 0xFFFFFFFF
-
-let[@inline] load8 t addr =
-  let buf = buf_for t addr in
-  let off = addr land 0x0FFF_FFFF in
-  if off + 8 > Bytes.length buf then
-    trap "out-of-bounds access at 0x%x (size %d)" addr 8;
-  Int64.to_int (unsafe_get64 buf off)
-
-(* The [storeN] variants bypass the image tracker and must only be used
-   when [tracking t] is false (the compiled tier checks once, at closure
-   compile time). *)
-
-let[@inline] store1 t addr v =
-  let buf = buf_for t addr in
-  let off = addr land 0x0FFF_FFFF in
-  if off + 1 > Bytes.length buf then
-    trap "out-of-bounds access at 0x%x (size %d)" addr 1;
-  Bytes.unsafe_set buf off (Char.unsafe_chr (v land 0xFF))
-
-let[@inline] store2 t addr v =
-  let buf = buf_for t addr in
-  let off = addr land 0x0FFF_FFFF in
-  if off + 2 > Bytes.length buf then
-    trap "out-of-bounds access at 0x%x (size %d)" addr 2;
-  unsafe_set16 buf off (v land 0xFFFF)
-
-let[@inline] store4 t addr v =
-  let buf = buf_for t addr in
-  let off = addr land 0x0FFF_FFFF in
-  if off + 4 > Bytes.length buf then
-    trap "out-of-bounds access at 0x%x (size %d)" addr 4;
-  unsafe_set32 buf off (Int32.of_int v)
-
-let[@inline] store8 t addr v =
-  let buf = buf_for t addr in
-  let off = addr land 0x0FFF_FFFF in
-  if off + 8 > Bytes.length buf then
-    trap "out-of-bounds access at 0x%x (size %d)" addr 8;
-  unsafe_set64 buf off
-    (Int64.logand (Int64.of_int v) 0x7FFF_FFFF_FFFF_FFFFL)
-
 (* Copy [len] working/snapshot bytes into the persisted image at [off],
    keeping the durable fingerprint current byte by byte. *)
 let persist_tracked tr dst ~off ~len ~byte_at =
@@ -284,8 +197,6 @@ let tracker t =
   match t.track with
   | Some tr -> tr
   | None -> trap "image tracking is off (create with ~track_images:true)"
-
-let tracking t = t.track <> None
 
 (** Live fingerprint of the working image. Requires tracking. *)
 let working_digest t = Imghash.digest (tracker t).work_hash

@@ -59,20 +59,6 @@ val load : t -> addr:int -> size:int -> int
 
 val store : t -> addr:int -> size:int -> int -> unit
 
-(** Size-specialized variants for the compiled tier: same bounds checks
-    and trap messages as [load]/[store], without the per-access size
-    dispatch. The [storeN] variants bypass the image tracker and must only
-    be used when {!tracking} is false. *)
-
-val load1 : t -> int -> int
-val load2 : t -> int -> int
-val load4 : t -> int -> int
-val load8 : t -> int -> int
-val store1 : t -> int -> int -> unit
-val store2 : t -> int -> int -> unit
-val store4 : t -> int -> int -> unit
-val store8 : t -> int -> int -> unit
-
 (** [persist_range t ~addr ~size] copies working PM content into the
     persisted image (called by {!Pstate} when a range becomes durable). *)
 val persist_range : t -> addr:int -> size:int -> unit
@@ -88,11 +74,9 @@ val crash_image : t -> Bytes.t
 (** Snapshot of the working image (as if everything had reached PM). *)
 val working_image : t -> Bytes.t
 
-(** Whether image tracking is on. The digest and snapshot functions below
-    trap when it is not. *)
-val tracking : t -> bool
-
-(** Live fingerprint of the working image, maintained incrementally. *)
+(** Live fingerprint of the working image, maintained incrementally. The
+    digest and snapshot functions below trap unless the memory was created
+    with [~track_images:true]. *)
 val working_digest : t -> Imghash.digest
 
 (** Live fingerprint of the durable image, maintained incrementally. *)

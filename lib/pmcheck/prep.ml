@@ -1,10 +1,10 @@
-(** Program preparation: the one-time lowering both execution tiers share.
+(** Program preparation: the one-time lowering the interpreter walks.
 
     Register names become array slots, block labels become code indices,
     callees become function indices, and coverage-edge hashes are
     precomputed from the stable (function, block, successor) naming — so
-    neither the interpreter loop nor the compiled closures ever hash a
-    string or search a table at run time. *)
+    the interpreter loop never hashes a string or searches a table at run
+    time. *)
 
 open Hippo_pmir
 
@@ -53,9 +53,6 @@ type pfunc = {
   nregs : int;
   pslots : int array;
   code : pinstr array;
-  leaders : int array;
-      (** code index of each block's first instruction, in block order —
-          the compiled tier's basic-block boundaries *)
 }
 
 let intrinsic_of_name = function
@@ -84,16 +81,13 @@ let prepare_func ~fidx ~global_addr (f : Func.t) : pfunc =
   let blocks = Func.blocks f in
   (* Block label -> code index of its first instruction. *)
   let starts = Hashtbl.create 16 in
-  let leaders_rev = ref [] in
   let _ =
     List.fold_left
       (fun idx (b : Func.block) ->
         Hashtbl.add starts b.label idx;
-        leaders_rev := idx :: !leaders_rev;
         idx + List.length b.instrs)
       0 blocks
   in
-  let leaders = Array.of_list (List.rev !leaders_rev) in
   let target l =
     match Hashtbl.find_opt starts l with
     | Some i -> i
@@ -160,4 +154,4 @@ let prepare_func ~fidx ~global_addr (f : Func.t) : pfunc =
       blocks
     |> Array.of_list
   in
-  { fname = Func.name f; nregs = !next; pslots; code; leaders }
+  { fname = Func.name f; nregs = !next; pslots; code }

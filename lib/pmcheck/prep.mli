@@ -1,11 +1,9 @@
-(** Program preparation shared by both execution tiers.
+(** Program preparation for the interpreter.
 
     Lowers {!Hippo_pmir} functions into a flat, name-free form: register
     names become array slots, block labels become code indices, callees
     become function indices, and coverage-edge hashes are precomputed.
-    The interpreter ({!Interp}) walks the [code] array directly; the
-    compiled tier ({!Compile}) turns each basic block into a closure
-    chain using [leaders] as block boundaries. *)
+    The interpreter ({!Interp}) walks the [code] array directly. *)
 
 open Hippo_pmir
 
@@ -51,8 +49,6 @@ type pfunc = {
   nregs : int;
   pslots : int array;  (** parameter positions -> register slots *)
   code : pinstr array;
-  leaders : int array;
-      (** code index of each block's first instruction, in block order *)
 }
 
 val intrinsic_of_name : string -> intrinsic option

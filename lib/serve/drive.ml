@@ -22,8 +22,7 @@ let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
     trace off (a million-op trace would be gigabytes), effectively
     unlimited fuel, the default cost model (simulated-latency
     histograms), and a PM arena sized to the record count. *)
-let serve_config ?(exec = Hippo_pmcheck.Interp.default_config.Hippo_pmcheck.Interp.exec)
-    ~final_records () : Hippo_pmcheck.Interp.config =
+let serve_config ~final_records : Hippo_pmcheck.Interp.config =
   let pm_size =
     pow2_at_least
       ((final_records * 256) + (1 lsl 22))
@@ -35,7 +34,6 @@ let serve_config ?(exec = Hippo_pmcheck.Interp.default_config.Hippo_pmcheck.Inte
     fuel = max_int;
     cost = Some Hippo_pmcheck.Cost.default;
     pm_size;
-    exec;
   }
 
 let serve_nbuckets ~final_records = pow2_at_least (max 1024 (final_records / 2)) 1024
@@ -142,15 +140,15 @@ let digest_store ~(app : App.t) ~workers ~finals =
 (** Run the whole pipeline in-process. Returns [Error] when the app or
     variant cannot be built (e.g. pclht has no flush-free build, or
     repair verification fails). *)
-let run_inproc ?exec ~pool ~app:kind ~variant ~workload ~records ~ops ~workers
-    ~seed () : (outcome, string) result =
+let run_inproc ~pool ~app:kind ~variant ~workload ~records ~ops ~workers
+    ~seed : (outcome, string) result =
   let finals =
     Array.init workers (fun worker ->
         Loadgen.final_records ~kind:workload ~records ~ops ~workers ~worker
           ~seed)
   in
   let final_total = Array.fold_left ( + ) 0 finals in
-  let config = serve_config ?exec ~final_records:final_total () in
+  let config = serve_config ~final_records:final_total in
   let nbuckets = serve_nbuckets ~final_records:final_total in
   match App.make ~config ~nbuckets kind variant with
   | Error _ as e -> e

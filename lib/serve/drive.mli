@@ -10,14 +10,8 @@ open Hippo_ycsb
 
 (** Interpreter config for a service holding [final_records] entries:
     trace off, unlimited fuel, the default cost model, PM sized to the
-    record count. [exec] picks the execution tier (default: the
-    library-wide default, the compiled tier); either tier produces
-    byte-identical service observables. *)
-val serve_config :
-  ?exec:Hippo_pmcheck.Exec.tier ->
-  final_records:int ->
-  unit ->
-  Hippo_pmcheck.Interp.config
+    record count. *)
+val serve_config : final_records:int -> Hippo_pmcheck.Interp.config
 
 val serve_nbuckets : final_records:int -> int
 
@@ -44,7 +38,6 @@ type outcome = {
     cannot be built (e.g. pclht flush-free, or repair verification
     fails). *)
 val run_inproc :
-  ?exec:Hippo_pmcheck.Exec.tier ->
   pool:Hippo_parallel.Pool.t ->
   app:Hippo_apps.App.kind ->
   variant:Hippo_apps.App.variant ->
@@ -53,7 +46,6 @@ val run_inproc :
   ops:int ->
   workers:int ->
   seed:int ->
-  unit ->
   (outcome, string) result
 
 (** Do two variants agree on every deterministic service observable

@@ -107,8 +107,13 @@ let join_rec (a : srec) (b : srec) : srec =
     a with
     pstate = Lattice.join a.pstate b.pstate;
     (* a fence is guaranteed after the store only if guaranteed on both
-       incoming paths *)
-    fence_after = a.fence_after && b.fence_after;
+       incoming paths, and only while both paths agree on the state: a
+       fenced Dirty record (never flushed) joined with a fenced
+       Flush_pending one (clwb'd after the fence) is a missing flush on
+       one path and a missing fence on the other, so the joined Dirty
+       must report missing-flush&fence to cover both *)
+    fence_after =
+      a.fence_after && b.fence_after && Lattice.equal a.pstate b.pstate;
     line = (if a.line = b.line then a.line else None);
     flushed_by =
       (match (a.flushed_by, b.flushed_by) with

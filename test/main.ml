@@ -5,7 +5,6 @@ let () =
       ("pmir", Test_pmir.suite);
       ("pmcheck", Test_pmcheck.suite);
       ("pstate-props", Test_pstate_props.suite);
-      ("exec", Test_exec.suite);
       ("runtime", Test_runtime.suite);
       ("alias", Test_alias.suite);
       ("fixes", Test_fixes.suite);

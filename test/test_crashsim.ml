@@ -278,6 +278,17 @@ let test_crash_corpus_jobs_identical () =
   Alcotest.(check bool) "aggregate memo saw work" true
     (Crashsim.Memo.misses memo1 > 0)
 
+(* The sweep at the default machine sizes: same verdicts at jobs 1 and 2. *)
+let prop_sweep_jobs_determinism =
+  QCheck.Test.make ~name:"sweep verdicts: jobs 1 == jobs 2"
+    ~count:20 Gen.arb_crash (fun prog ->
+      QCheck.assume (Gen.has_checker prog);
+      let sweep ~jobs =
+        Crashsim.sweep ~config:Interp.default_config ~jobs prog ~setup
+          ~checker ~checker_args:[]
+      in
+      sweep ~jobs:1 = sweep ~jobs:2)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_strategies_identical;
@@ -300,4 +311,5 @@ let suite =
       test_verify_crash_consistency;
     Alcotest.test_case "crash corpus identical across jobs" `Quick
       test_crash_corpus_jobs_identical;
+    QCheck_alcotest.to_alcotest prop_sweep_jobs_determinism;
   ]

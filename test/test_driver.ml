@@ -11,6 +11,7 @@
 open Hippo_pmir
 open Hippo_pmcheck
 open Hippo_core
+module Apply = Hippo_engine.Apply
 
 let i = Value.imm
 

@@ -5,6 +5,11 @@
 open Hippo_pmir
 open Hippo_pmcheck
 open Hippo_core
+module Apply = Hippo_engine.Apply
+module Compute = Hippo_engine.Compute
+module Heuristic = Hippo_engine.Heuristic
+module Reduce = Hippo_engine.Reduce
+module Transform = Hippo_engine.Transform
 
 let v = Value.reg
 let i = Value.imm

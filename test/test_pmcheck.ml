@@ -434,6 +434,119 @@ let test_interp_global_values () =
   ignore (Interp.call t "main" []);
   Alcotest.(check (list int)) "global round trip" [ 31 ] (Interp.output t)
 
+(* What a host call leaves behind: its result or the trap message. *)
+let call_result t name args =
+  match Interp.call t name args with
+  | r -> Printf.sprintf "ret:%d" r
+  | exception Mem.Trap m -> Printf.sprintf "trap:%s" m
+  | exception Interp.Aborted -> "aborted"
+  | exception Interp.Out_of_fuel -> "out_of_fuel"
+
+let call_fresh prog name args =
+  call_result (Interp.create Interp.default_config prog) name args
+
+let test_interp_trap_messages () =
+  let p =
+    build_prog (fun b ->
+        ignore
+          (Builder.func b "d" [ "x" ] ~body:(fun fb ->
+               Builder.ret fb (Builder.div fb (i 10) (v "x"))));
+        ignore
+          (Builder.func b "r" [ "x" ] ~body:(fun fb ->
+               Builder.ret fb (Builder.rem fb (i 10) (v "x"))));
+        ignore
+          (Builder.func b "sh" [ "x"; "k" ] ~body:(fun fb ->
+               Builder.ret fb (Builder.shl fb (v "x") (v "k")))))
+  in
+  Alcotest.(check string) "div msg" "trap:division by zero"
+    (call_fresh p "d" [ 0 ]);
+  Alcotest.(check string) "rem msg" "trap:remainder by zero"
+    (call_fresh p "r" [ 0 ]);
+  (* shift amounts mask to [land 62] *)
+  Alcotest.(check string) "shift mask"
+    (Printf.sprintf "ret:%d" (1 lsl (65 land 62)))
+    (call_fresh p "sh" [ 1; 65 ]);
+  Alcotest.(check string) "shift 62"
+    (Printf.sprintf "ret:%d" (3 lsl 62))
+    (call_fresh p "sh" [ 3; 62 ])
+
+let test_interp_arity_and_undefined () =
+  let p =
+    build_prog (fun b ->
+        ignore
+          (Builder.func b "f" [ "x" ] ~body:(fun fb -> Builder.ret fb (v "x"))))
+  in
+  Alcotest.(check string) "arity msg"
+    "trap:@f called with 2 arguments (expects 1)"
+    (call_fresh p "f" [ 1; 2 ]);
+  Alcotest.(check string) "undefined msg"
+    "trap:call to undefined function @nope" (call_fresh p "nope" [])
+
+let test_interp_abort_and_wild_access () =
+  let p =
+    build_prog (fun b ->
+        ignore
+          (Builder.func b "boom" [] ~body:(fun fb ->
+               Builder.call_void fb "emit" [ i 5 ];
+               Builder.call_void fb "abort" [];
+               Builder.call_void fb "emit" [ i 6 ];
+               Builder.ret fb (i 0)));
+        ignore
+          (Builder.func b "wild" [] ~body:(fun fb ->
+               Builder.ret fb (Builder.load fb (i 0x9999_9999) ~size:8)));
+        ignore
+          (Builder.func b "null" [] ~body:(fun fb ->
+               Builder.store fb ~addr:(i 8) ~size:8 (i 1);
+               Builder.ret fb (i 0))))
+  in
+  let t = Interp.create Interp.default_config p in
+  Alcotest.(check string) "abort" "aborted" (call_result t "boom" []);
+  Alcotest.(check (list int)) "output up to the abort" [ 5 ] (Interp.output t);
+  Alcotest.(check string) "wild" "trap:wild access at 0x99999999"
+    (call_fresh p "wild" []);
+  Alcotest.(check string) "null" "trap:null-page access at 0x8"
+    (call_fresh p "null" [])
+
+(* A machine accumulates across host calls: output, simulated cost, crash
+   points, bugs, and trace seq numbers all continue where the previous
+   call stopped. *)
+let test_interp_accumulation_across_calls () =
+  let p =
+    build_prog (fun b ->
+        ignore
+          (Builder.func b "main" [] ~body:(fun fb ->
+               let pm = Builder.call fb "pm_alloc" [ i 64 ] in
+               Builder.store fb ~addr:pm (i 1);
+               Builder.flush fb pm;
+               Builder.fence fb ();
+               Builder.call_void fb "emit" [ i 7 ];
+               Builder.store fb ~addr:(Builder.gep fb pm (i 8)) (i 2);
+               Builder.crash fb;
+               Builder.ret_void fb)))
+  in
+  let machine () =
+    Interp.create { Interp.default_config with cost = Some Cost.default } p
+  in
+  let once = machine () in
+  ignore (Interp.call once "main" []);
+  let twice = machine () in
+  ignore (Interp.call twice "main" []);
+  ignore (Interp.call twice "main" []);
+  Alcotest.(check (list int)) "output" [ 7; 7 ] (Interp.output twice);
+  Alcotest.(check (float 1e-6)) "cost"
+    (2. *. Interp.cost_ns once)
+    (Interp.cost_ns twice);
+  Alcotest.(check int) "crash points" 2 (Interp.crash_points_hit twice);
+  (* the first call's unflushed store is still pending at the second
+     crash point *)
+  Alcotest.(check int) "raw bugs" 3 (List.length (Interp.raw_bugs twice));
+  let seqs = List.map Trace.seq (Interp.trace twice) in
+  Alcotest.(check int) "trace doubles"
+    (2 * List.length (Interp.trace once))
+    (List.length seqs);
+  Alcotest.(check bool) "seqs increase across calls" true
+    (List.sort_uniq compare seqs = seqs)
+
 (* ------------------------------------------------------------------ *)
 (* Trace serialization *)
 
@@ -613,6 +726,16 @@ let suite =
     ("interp stop at crash", `Quick, test_interp_stop_at_crash);
     ("interp cost accounting", `Quick, test_interp_cost_accounting);
     ("interp globals", `Quick, test_interp_global_values);
+    ("interp trap messages", `Quick, test_interp_trap_messages);
+    ( "interp arity/undefined function",
+      `Quick,
+      test_interp_arity_and_undefined );
+    ( "interp abort/wild/null access",
+      `Quick,
+      test_interp_abort_and_wild_access );
+    ( "interp accumulation across calls",
+      `Quick,
+      test_interp_accumulation_across_calls );
     ("trace roundtrip", `Quick, test_trace_roundtrip);
     ("trace stacks", `Quick, test_trace_stacks);
     ("sitestats roundtrip", `Quick, test_sitestats_roundtrip);

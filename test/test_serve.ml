@@ -240,7 +240,6 @@ let run_inproc ~pool ~variant ~workers =
   match
     Drive.run_inproc ~pool ~app:App.Redis ~variant
       ~workload:Hippo_ycsb.Workload.A ~records:120 ~ops:200 ~workers ~seed:42
-      ()
   with
   | Ok o -> o
   | Error e -> Alcotest.failf "run_inproc: %s" e
@@ -275,7 +274,7 @@ let test_inproc_workload_d_inserts () =
       match
         Drive.run_inproc ~pool ~app:App.Redis ~variant:App.Manual
           ~workload:Hippo_ycsb.Workload.D ~records:100 ~ops:200 ~workers:2
-          ~seed:7 ()
+          ~seed:7
       with
       | Error e -> Alcotest.failf "workload D: %s" e
       | Ok o ->

@@ -1,5 +1,5 @@
-(* The scenario simulator: digest determinism across jobs widths and
-   execution tiers, single-crash semantics of the forced-crash hook, and
+(* The scenario simulator: digest determinism across jobs widths,
+   single-crash semantics of the forced-crash hook, and
    differential agreement with the per-crash-point sweep. *)
 
 open Hippo_pmcheck
@@ -25,7 +25,7 @@ let run_exn cfg =
   match Harness.run cfg with Ok r -> r | Error e -> Alcotest.fail e
 
 (* ------------------------------------------------------------------ *)
-(* determinism: one seed, one digest — at every jobs width and tier *)
+(* determinism: one seed, one digest — at every jobs width *)
 
 let prop_jobs_identical =
   QCheck.Test.make ~count:4 ~name:"same seed => same digest at jobs {1,2,4}"
@@ -44,16 +44,16 @@ let prop_jobs_identical =
             rest
       | [] -> false)
 
-let prop_tiers_identical =
-  QCheck.Test.make ~count:4
-    ~name:"interpreted and compiled fleets produce one digest"
+(* chaos mode adds torn lines and reordered drain on top *)
+let prop_chaos_jobs_identical =
+  QCheck.Test.make ~count:4 ~name:"chaos fleets: one digest, jobs 1/2"
     QCheck.small_nat (fun seed ->
       let cfg = { (small App.Pclht App.Manual Harness.Chaos) with Harness.seed } in
-      let ri = run_exn { cfg with Harness.exec = `Interp } in
-      let rc = run_exn { cfg with Harness.exec = `Compiled } in
-      String.equal ri.Harness.digest rc.Harness.digest
-      && ri.Harness.violating = rc.Harness.violating
-      && ri.Harness.torn = rc.Harness.torn)
+      let r1 = run_exn { cfg with Harness.jobs = 1 } in
+      let r2 = run_exn { cfg with Harness.jobs = 2 } in
+      String.equal r1.Harness.digest r2.Harness.digest
+      && r1.Harness.violating = r2.Harness.violating
+      && r1.Harness.torn = r2.Harness.torn)
 
 let test_quick_mode_clean () =
   (* fault-free scenarios on the hand-hardened builds: pure workload vs
@@ -188,7 +188,7 @@ let test_forced_crash_bounds () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_jobs_identical;
-    QCheck_alcotest.to_alcotest prop_tiers_identical;
+    QCheck_alcotest.to_alcotest prop_chaos_jobs_identical;
     Alcotest.test_case "quick mode on manual builds is clean" `Quick
       test_quick_mode_clean;
     Alcotest.test_case "chaos detects P-CLHT's injected bugs" `Quick

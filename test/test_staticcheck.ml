@@ -239,6 +239,58 @@ let prop_static_repair_dynamically_clean =
       Hippo_core.Verify.effective r.Hippo_core.Driver.verification
       && Hippo_core.Verify.harm_free r.Hippo_core.Driver.verification)
 
+(* A shrunk fuzzer reproducer ([fuzz --execs 400 --seed 2]): a store that
+   is fenced on every path but flushed (after the fence) on one branch
+   only. At the join, [Dirty] (fenced, never flushed) meets
+   [Flush_pending] (fenced, then clwb'd); the joined record must not keep
+   [fence_after], or the static report says missing-flush while the
+   dynamic checker, on the clwb path, reports missing-fence. *)
+let fenced_then_flushed_on_one_branch =
+  {|func @main() {
+entry:
+  %t1 = call @pm_alloc(256) @ "main.c":1
+  %t3 = gep %t1, 0 @ "main.c":3
+  store.i32 307 -> %t3 @ "main.c":4
+  br fz50339
+fz50339:
+  %t13 = gep %t1, 0 @ "main.c":25
+  %t14 = load.i64 %t13 @ "main.c":26
+  %t15 = eq %t14, 381 @ "main.c":27
+  condbr %t15, then_main1, else_main2 @ "main.c":28
+then_main1:
+  br join_main3 @ "main.c":30
+else_main2:
+  br join_main3 @ "main.c":32
+join_main3:
+  fence.sfence @ "main.c":43
+  %t21 = gep %t1, 192 @ "main.c":46
+  %t22 = load.i64 %t21 @ "main.c":47
+  %t23 = eq %t22, 300 @ "main.c":48
+  condbr %t23, then_main4, else_main5 @ "main.c":49
+then_main4:
+  br join_main6 @ "main.c":51
+else_main5:
+  br fz32795 @ "main.c":53
+join_main6:
+  ret @ "main.c":56
+fz32795:
+  %t24 = gep %t1, 0 @ "main.c":54
+  flush.clwb %t24 @ "main.c":55
+  ret @ "main.c":56
+}|}
+
+let test_join_drops_fence_after_on_pstate_mismatch () =
+  let p = Parser.program fenced_then_flushed_on_one_branch in
+  let t = Interp.create Interp.default_config p in
+  ignore (Interp.call t "main" []);
+  Interp.exit_check t;
+  let dynamic = Interp.bugs t in
+  Alcotest.(check int) "one dynamic bug" 1 (List.length dynamic);
+  let static_ = (Checker.check ~entries:[ "main" ] p).Checker.bugs in
+  let c = Adapter.compare_reports ~static_ ~dynamic in
+  Alcotest.(check (list string)) "no dynamic bug missed" []
+    (List.map Report.bug_to_string c.Adapter.missed)
+
 let suite =
   [
     ("lattice laws", `Quick, test_lattice_laws);
@@ -255,6 +307,8 @@ let suite =
     ("summary reuse", `Quick, test_interproc_summary_reuse);
     ("distinct call sites, distinct bugs", `Quick,
      test_distinct_callsites_distinct_bugs);
+    ("join drops stale fence_after", `Quick,
+     test_join_drops_fence_after_on_pstate_mismatch);
     QCheck_alcotest.to_alcotest prop_static_covers_dynamic;
     QCheck_alcotest.to_alcotest prop_static_repair_dynamically_clean;
   ]
