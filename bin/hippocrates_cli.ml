@@ -629,8 +629,8 @@ let fuzz_cmd =
       value & opt float 0.
       & info [ "time" ] ~docv:"SECONDS"
           ~doc:"Wall-clock budget. A time-bounded run executes a \
-                scheduling-dependent number of candidates; use \
-                $(b,--execs) for bit-reproducible runs.")
+                scheduling-dependent number of candidates; an exec \
+                budget is bit-reproducible.")
   in
   let execs_arg =
     Arg.(

@@ -239,7 +239,7 @@ let prop_static_repair_dynamically_clean =
       Hippo_core.Verify.effective r.Hippo_core.Driver.verification
       && Hippo_core.Verify.harm_free r.Hippo_core.Driver.verification)
 
-(* A shrunk fuzzer reproducer ([fuzz --execs 400 --seed 2]): a store that
+(* A shrunk fuzzer reproducer (seed 2, 400 guided execs): a store that
    is fenced on every path but flushed (after the fence) on one branch
    only. At the join, [Dirty] (fenced, never flushed) meets
    [Flush_pending] (fenced, then clwb'd); the joined record must not keep
