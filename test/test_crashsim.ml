@@ -280,7 +280,7 @@ let test_crash_corpus_jobs_identical () =
 
 (* The sweep at the default machine sizes: same verdicts at jobs 1 and 2. *)
 let prop_sweep_jobs_determinism =
-  QCheck.Test.make ~name:"sweep verdicts: jobs 1 == jobs 2"
+  QCheck.Test.make ~name:"sweep verdicts: jobs 1/2 agree"
     ~count:20 Gen.arb_crash (fun prog ->
       QCheck.assume (Gen.has_checker prog);
       let sweep ~jobs =
