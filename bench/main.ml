@@ -45,7 +45,9 @@
    byte-identical to the historical serial harness. `--seed N` seeds the
    seed-threaded experiments (table_fuzz; default 0). `--json FILE`
    writes the results of json-aware experiments (table_crash,
-   table_fuzz) to FILE. *)
+   table_fuzz, table_serve, table_opt, table_sim) to FILE. The run exits
+   1 when one of their exact cross-checks (verdict identity, digest
+   determinism, agreement, detection) comes out false. *)
 
 open Hippo_pmir
 open Hippo_pmcheck
@@ -1285,6 +1287,38 @@ let json_results : (string * json) list ref = ref []
 
 let add_json key (j : json) = json_results := (key, j) :: !json_results
 
+(* Exact cross-checks the json-aware tables compute. A false anywhere
+   under one of these keys (pclht_crash_verdicts_identical holds one
+   boolean per jobs width) means drift, and the run exits non-zero;
+   wall-clock thresholds stay informational. *)
+let exact_checks =
+  [
+    "verdicts_identical";
+    "agrees_all";
+    "deterministic";
+    "manual_redis_clean";
+    "chaos_detects_pclht_bugs";
+    "pclht_crash_verdicts_identical";
+  ]
+
+let rec has_false (j : json) =
+  match j with
+  | `Bool b -> not b
+  | `Assoc kvs -> List.exists (fun (_, v) -> has_false v) kvs
+  | `List l -> List.exists has_false l
+  | `String _ | `Int _ | `Float _ -> false
+
+let rec failed_checks (j : json) =
+  match j with
+  | `Assoc kvs ->
+      List.concat_map
+        (fun (k, v) ->
+          if List.mem k exact_checks && has_false v then [ k ]
+          else failed_checks v)
+        kvs
+  | `List l -> List.concat_map failed_checks l
+  | `String _ | `Int _ | `Float _ | `Bool _ -> []
+
 let write_json path =
   let buf = Buffer.create 4096 in
   json_to_buf buf (`Assoc (List.rev !json_results));
@@ -1373,8 +1407,15 @@ let () =
           | "micro" -> micro ()
           | other -> Fmt.epr "unknown experiment %S@." other)
         cmds);
-  match !json_file with
+  (match !json_file with
   | Some path ->
       add_json "jobs" (`Int !jobs);
       write_json path
-  | None -> ()
+  | None -> ());
+  match failed_checks (`Assoc !json_results) with
+  | [] -> ()
+  | failed ->
+      Fmt.epr "exact cross-checks failed: %a@."
+        Fmt.(list ~sep:comma string)
+        (List.sort_uniq compare failed);
+      exit 1

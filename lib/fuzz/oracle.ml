@@ -99,7 +99,8 @@ let evaluate_exn prog =
   let violations = ref [] in
   let flag oracle detail = violations := { oracle; detail } :: !violations in
   (* dynamic run: coverage + bug reports. Bug collection does not need the
-     event trace (seq numbers advance either way), so leave it off. *)
+     event trace (bug classification reads only the relative order of
+     seqs, which tracing does not change), so leave it off. *)
   let cov = Coverage.create () in
   let config = { interp_config with coverage = Some cov; trace = false } in
   let t, _ret = Interp.run ~config prog ~entry:"main" ~args:[] in

@@ -89,9 +89,7 @@ let program_sig prog = Digest.string (Hippo_pmir.Printer.to_string prog)
 (* Recovery: restart the program on a crash image and run the checker.
    Pure in the image — the basis for dedup. *)
 let recover ~config prog ~checker ~checker_args image =
-  let cfg =
-    { config with Interp.stop_at_crash = None; trace = false; track_images = false }
-  in
+  let cfg = { config with Interp.trace = false; track_images = false } in
   let t = Interp.create ~pm_image:image cfg prog in
   match Interp.call t checker checker_args with
   | r -> r <> 0
@@ -105,15 +103,9 @@ let recover ~config prog ~checker ~checker_args image =
 let check_crash ?(config = Interp.default_config) prog
     ~(setup : (string * int list) list) ~(checker : string)
     ~(checker_args : int list) ~crash_index : verdict =
-  let cfg =
-    {
-      config with
-      Interp.stop_at_crash = Some crash_index;
-      trace = false;
-      track_images = false;
-    }
-  in
+  let cfg = { config with Interp.trace = false; track_images = false } in
   let t = Interp.create cfg prog in
+  Interp.arm_crash t ~at:crash_index;
   let stopped =
     try
       List.iter (fun (f, args) -> ignore (Interp.call t f args)) setup;
@@ -135,9 +127,7 @@ let check_crash ?(config = Interp.default_config) prog
     crash-point counter, no trace materialized. *)
 let count_crash_points ?(config = Interp.default_config) prog
     ~(setup : (string * int list) list) =
-  let cfg =
-    { config with Interp.stop_at_crash = None; trace = false; track_images = false }
-  in
+  let cfg = { config with Interp.trace = false; track_images = false } in
   let t = Interp.create cfg prog in
   List.iter (fun (f, args) -> ignore (Interp.call t f args)) setup;
   Interp.crash_points_hit t
@@ -174,9 +164,7 @@ let replay_sweep ?config ~jobs prog ~setup ~checker ~checker_args =
    every [jobs]). *)
 let single_pass_sweep ?(config = Interp.default_config) ~jobs ~memo ~prog_sig
     prog ~setup ~checker ~checker_args =
-  let cfg =
-    { config with Interp.stop_at_crash = None; trace = false; track_images = true }
-  in
+  let cfg = { config with Interp.trace = false; track_images = true } in
   let t = Interp.create cfg prog in
   let mem = Interp.mem t in
   let points = ref [] in

@@ -4,4 +4,4 @@
     it and delete this module. *)
 
 (** [call] is {!Interp.call}. *)
-val call : Machine.t -> string -> int list -> int
+val call : Interp.t -> string -> int list -> int

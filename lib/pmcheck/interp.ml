@@ -5,22 +5,22 @@
     fences, calls — each with its call stack), and reports every store that
     is not durable when a crash point or program exit is reached.
 
-    It is a direct walk over the prepared code ({!Prep}) that updates the
-    shared machine state ({!Machine}), and the only execution tier. *)
+    One state record owns everything an execution accumulates — memory,
+    persistency state, trace, bugs, output, simulated cost, coverage,
+    crash points — plus the run configuration; {!exec_call} is a direct
+    walk over the prepared code ({!Prep}) that updates it. *)
 
 open Hippo_pmir
 open Prep
-open Machine
 
-exception Aborted = Machine.Aborted
-exception Out_of_fuel = Machine.Out_of_fuel
-exception Stopped_at_crash = Machine.Stopped_at_crash
+exception Aborted
+exception Out_of_fuel
+exception Stopped_at_crash
 
-type config = Machine.config = {
+type config = {
   trace : bool;
   fuel : int;
   cost : Cost.t option;
-  stop_at_crash : int option;
   track_images : bool;
   coverage : Coverage.t option;
   vol_size : int;
@@ -29,18 +29,136 @@ type config = Machine.config = {
   pm_size : int;
 }
 
-let default_config = Machine.default_config
+(* [trace = true] is the inspection-friendly default for one-shot runs
+   and the repair pipeline (the dynamic detector and Trace-AA read the
+   events). Every hot loop — crash sweeps, the fuzz oracle, the served
+   store, bench cases — overrides it to [false] at its own call site:
+   event materialization is the single biggest per-instruction cost.
+   Results do not depend on it: call events take a seq only when
+   tracing, so seq numbers differ, but bug classification reads only the
+   relative order of seqs, which is the same either way. *)
+let default_config =
+  {
+    trace = true;
+    fuel = 200_000_000;
+    cost = None;
+    track_images = false;
+    coverage = None;
+    vol_size = 1 lsl 24;
+    stack_size = 1 lsl 22;
+    global_size = 1 lsl 20;
+    pm_size = 1 lsl 24;
+  }
 
-type t = Machine.t
+(* The simulated-latency accumulator lives in its own all-float record so
+   the interpreter updates it in place: a [mutable float] in the mixed-field
+   state record below would re-box on every addition, which is the single
+   largest per-instruction allocation when cost accounting is on. *)
+type fcell = { mutable fv : float }
 
-let create = Machine.create
-let mem = Machine.mem
-let set_crash_hook = Machine.set_crash_hook
-let crash_points_hit = Machine.crash_points_hit
+type t = {
+  pfuncs : Prep.pfunc array;
+  fidx : (string, int) Hashtbl.t;
+  mem : Mem.t;
+  ps : Pstate.t;
+  cfg : config;
+  cov : Coverage.t option;  (** = [cfg.coverage], hoisted for the hot loop *)
+  cost_acc : fcell;
+  mutable seq : int;
+  mutable steps : int;
+  mutable trace_rev : Trace.event list;
+  mutable bugs_rev : Report.bug list;
+  mutable output_rev : int list;
+  mutable crashes_hit : int;
+  mutable armed_crash : int option;
+      (** stop when [crashes_hit] reaches this absolute count; see
+          {!arm_crash} *)
+  mutable crash_hook : (unit -> unit) option;
+      (** fired at every explicit crash point (the single-pass sweep's
+          image-capture callback) *)
+  mutable frames : Trace.stack;  (** current call stack, innermost first *)
+  stats : Sitestats.t;  (** per-site pointer-class observations *)
+}
+
+let create ?pm_image ?pm_brk (cfg : config) (prog : Program.t) : t =
+  let funcs = Program.funcs prog in
+  let fidx = Hashtbl.create 64 in
+  List.iteri (fun i f -> Hashtbl.add fidx (Func.name f) i) funcs;
+  let mem =
+    Mem.create ~vol_size:cfg.vol_size ~stack_size:cfg.stack_size
+      ~global_size:cfg.global_size ~pm_size:cfg.pm_size ?pm_image ?pm_brk
+      ~track_images:cfg.track_images (Program.globals prog)
+  in
+  let global_addr = Mem.global_addr mem in
+  let pfuncs =
+    Array.of_list (List.map (Prep.prepare_func ~fidx ~global_addr) funcs)
+  in
+  {
+    pfuncs;
+    fidx;
+    mem;
+    ps = Pstate.create ();
+    cfg;
+    cov = cfg.coverage;
+    cost_acc = { fv = 0.0 };
+    seq = 0;
+    steps = 0;
+    trace_rev = [];
+    bugs_rev = [];
+    output_rev = [];
+    crashes_hit = 0;
+    armed_crash = None;
+    crash_hook = None;
+    frames = [];
+    stats = Sitestats.create ();
+  }
+
+let mem t = t.mem
+let set_crash_hook t f = t.crash_hook <- Some f
+let arm_crash t ~at = t.armed_crash <- Some at
+let disarm_crash t = t.armed_crash <- None
+let crash_points_hit t = t.crashes_hit
+
+(* Crash points and events ------------------------------------------------ *)
+
+let next_seq t =
+  let s = t.seq in
+  t.seq <- s + 1;
+  s
+
+(* Callers test [t.cfg.trace] first, so a disabled trace never builds the
+   event. *)
+let push_event t ev = t.trace_rev <- ev :: t.trace_rev
+
+let classify_arg v : Trace.arg_class =
+  if Layout.is_pm v then Trace.Pm_ptr
+  else if Layout.is_volatile_ptr v then Trace.Vol_ptr
+  else Trace.Not_ptr
+
+(* A crash point, explicit or at exit: record the event and collect every
+   store not yet durable. The seq counter advances whether or not the
+   trace is recorded; only the event construction is gated. *)
+let crash_point t ~iid ~loc ~stack =
+  let seq = next_seq t in
+  if t.cfg.trace then push_event t (Trace.Crash_point { iid; loc; stack; seq });
+  let crash : Report.crash_info =
+    { crash_iid = iid; crash_loc = loc; crash_stack = stack }
+  in
+  t.bugs_rev <- List.rev_append (Pstate.unpersisted_bugs t.ps ~crash) t.bugs_rev
+
+(* An explicit crash point also advances the counter, fires the crash hook
+   and honours an armed stop. *)
+let record_crash_point t ~iid ~loc =
+  t.crashes_hit <- t.crashes_hit + 1;
+  crash_point t ~iid ~loc ~stack:t.frames;
+  (match t.crash_hook with Some f -> f () | None -> ());
+  match t.armed_crash with
+  | Some n when t.crashes_hit >= n -> raise Stopped_at_crash
+  | _ -> ()
 
 (* Execution -------------------------------------------------------------- *)
 
-let rec exec_call (t : Machine.t) (pf : pfunc) (args : int array) : int =
+let rec exec_call (t : t) (pf : pfunc) (args : int array) : int =
   if Array.length args <> Array.length pf.pslots then
     Mem.trap "@%s called with %d arguments (expects %d)" pf.fname
       (Array.length args) (Array.length pf.pslots);
@@ -76,8 +194,8 @@ let rec exec_call (t : Machine.t) (pf : pfunc) (args : int array) : int =
           | Instr.And -> a land b
           | Instr.Or -> a lor b
           | Instr.Xor -> a lxor b
-          | Instr.Shl -> a lsl (b land 62)
-          | Instr.Lshr -> a lsr (b land 62)
+          | Instr.Shl -> Instr.shl a b
+          | Instr.Lshr -> Instr.lshr a b
           | Instr.Eq -> if a = b then 1 else 0
           | Instr.Ne -> if a <> b then 1 else 0
           | Instr.Lt -> if a < b then 1 else 0
@@ -256,17 +374,19 @@ let call t name args =
 
 (* Results ---------------------------------------------------------------- *)
 
-let exit_check = Machine.exit_check
-let trace = Machine.trace
-let site_stats = Machine.site_stats
-let bugs = Machine.bugs
-let raw_bugs = Machine.raw_bugs
-let output = Machine.output
-let cost_ns = Machine.cost_ns
-let steps = Machine.steps
-let pstate = Machine.pstate
-let crash_image = Machine.crash_image
-let global_addr = Machine.global_addr
+let exit_check t =
+  crash_point t ~iid:None ~loc:(Loc.make ~file:"<exit>" ~line:0) ~stack:[]
+
+let trace t = List.rev t.trace_rev
+let site_stats t = t.stats
+let bugs t = Report.dedup (List.rev t.bugs_rev)
+let raw_bugs t = List.rev t.bugs_rev
+let output t = List.rev t.output_rev
+let cost_ns t = t.cost_acc.fv
+let steps t = t.steps
+let pstate t = t.ps
+let crash_image t = Mem.crash_image t.mem
+let global_addr t name = Mem.global_addr t.mem name
 
 (** One-shot convenience: run [entry] with [args] under the interpreter,
     then apply the exit check. Returns the machine for inspection. *)

@@ -28,14 +28,13 @@ exception Aborted  (** the program called the [abort] intrinsic *)
 exception Out_of_fuel
 
 exception Stopped_at_crash
-(** raised when [stop_at_crash] is reached; the durable image is then the
-    crash state under study *)
+(** raised at the crash point armed by {!arm_crash}; the durable image is
+    then the crash state under study *)
 
-type config = Machine.config = {
+type config = {
   trace : bool;  (** record the PM operation trace and site statistics *)
   fuel : int;  (** maximum interpreted instructions *)
   cost : Cost.t option;  (** account simulated latency *)
-  stop_at_crash : int option;  (** halt at the n-th crash point (1-based) *)
   track_images : bool;
       (** maintain incremental {!Imghash} fingerprints of both PM images
           (the single-pass crash sweep's capture mode; default false) *)
@@ -47,11 +46,16 @@ type config = Machine.config = {
   stack_size : int;
   global_size : int;
   pm_size : int;
+      (** region sizes in bytes; {!default_config} is the one place they
+          default *)
 }
 
 val default_config : config
 
-type t = Machine.t
+type t
+(** A machine: the prepared program plus everything its execution
+    accumulates — memory, persistency state, trace, bugs, output,
+    simulated cost, coverage, crash points. *)
 
 (** [create ?pm_image cfg prog] prepares the program and builds a fresh
     machine; [pm_image] seeds persistent memory (a restart) and
@@ -61,9 +65,18 @@ val create : ?pm_image:Bytes.t -> ?pm_brk:int -> config -> Program.t -> t
 val mem : t -> Mem.t
 
 (** [set_crash_hook t f] fires [f] at every explicit crash point, after
-    bug collection and before any [stop_at_crash] stop — the single-pass
-    sweep's image-capture callback. *)
+    bug collection and before an armed stop — the single-pass sweep's
+    image-capture callback. *)
 val set_crash_hook : t -> (unit -> unit) -> unit
+
+(** [arm_crash t ~at] makes the [at]-th explicit crash point (absolute,
+    1-based, counted by {!crash_points_hit}) raise {!Stopped_at_crash}.
+    It is the only way to stop at a crash, and it works on a live
+    machine: the simulation harness arms a crash for one workload call
+    and disarms it for the next without rebuilding the session. *)
+val arm_crash : t -> at:int -> unit
+
+val disarm_crash : t -> unit
 
 (** Explicit crash points passed so far. Maintained whether or not the
     trace is recorded, so crash points can be counted without

@@ -40,8 +40,7 @@ type t = {
 
 let align8 n = (n + 7) land lnot 7
 
-let create ?(vol_size = 1 lsl 24) ?(stack_size = 1 lsl 22)
-    ?(global_size = 1 lsl 20) ?(pm_size = 1 lsl 24) ?pm_image ?(pm_brk = 0)
+let create ~vol_size ~stack_size ~global_size ~pm_size ?pm_image ?(pm_brk = 0)
     ?(track_images = false) (globals : (string * int) list) =
   let pm =
     match pm_image with

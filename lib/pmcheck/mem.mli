@@ -34,18 +34,20 @@ type t = {
   track : tracker option;
 }
 
-(** [create globals] builds a fresh memory; [?pm_image] seeds both PM
-    images (a restart from a previous durable image); [?pm_brk] restores
-    the PM allocator's high-water mark alongside the image — a real PM
+(** [create ~vol_size ~stack_size ~global_size ~pm_size globals] builds a
+    fresh memory with regions of those byte sizes (the defaults live in
+    {!Interp.default_config}); [?pm_image] seeds both PM images (a
+    restart from a previous durable image); [?pm_brk] restores the PM
+    allocator's high-water mark alongside the image — a real PM
     allocator persists its heap metadata, so a restarted program must
     not re-issue addresses that are already in use (default 0: a fresh
     pool); [?track_images] (default false) turns on image fingerprinting
     and snapshots. *)
 val create :
-  ?vol_size:int ->
-  ?stack_size:int ->
-  ?global_size:int ->
-  ?pm_size:int ->
+  vol_size:int ->
+  stack_size:int ->
+  global_size:int ->
+  pm_size:int ->
   ?pm_image:Bytes.t ->
   ?pm_brk:int ->
   ?track_images:bool ->

@@ -153,6 +153,9 @@ let binop_to_string = function
   | Gt -> "gt"
   | Ge -> "ge"
 
+let shl x n = x lsl (n land 63)
+let lshr x n = x lsr (n land 63)
+
 let binop_of_string = function
   | "add" -> Some Add
   | "sub" -> Some Sub

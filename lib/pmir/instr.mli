@@ -86,6 +86,13 @@ val flush_kind_of_string : string -> flush_kind option
 val fence_kind_to_string : fence_kind -> string
 val fence_kind_of_string : string -> fence_kind option
 val binop_to_string : binop -> string
+
+(** Shift semantics, shared by the interpreter and the static constant
+    fold. The amount is taken modulo 64 (its low six bits), so every
+    amount is defined; on PMIR's 63-bit integers a shift by 63 yields 0. *)
+val shl : int -> int -> int
+
+val lshr : int -> int -> int
 val binop_of_string : string -> binop option
 
 (** Structural equality of operations, ignoring identities and locations

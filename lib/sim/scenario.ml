@@ -8,7 +8,7 @@
     lands in a transcript whose MD5 is the scenario digest — the object
     the determinism battery compares across [--jobs] widths.
 
-    Faults at an op: the machine is armed ({!Machine.arm_crash}) so the
+    Faults at an op: the machine is armed ({!Interp.arm_crash}) so the
     op stops at an injected crash point; apps without explicit crash
     points (Redis) crash at the op boundary instead. The durable image
     is then perturbed ({!Faults.inject}), the app is restarted on it
@@ -156,10 +156,10 @@ let guard side ~step what f =
   | Division_by_zero ->
       violate side ~step "trap" (Printf.sprintf "%s: division by zero" what);
       None
-  | Machine.Aborted ->
+  | Interp.Aborted ->
       violate side ~step "trap" (Printf.sprintf "%s: abort" what);
       None
-  | Machine.Out_of_fuel ->
+  | Interp.Out_of_fuel ->
       violate side ~step "trap" (Printf.sprintf "%s: out of fuel" what);
       None
 
@@ -281,13 +281,13 @@ let run_step side ~step ~seed ~index ~cfg ~keys op (plan : Faults.plan) =
     (match cfg.force_crash_at with
     (* one forced crash per scenario: the restarted machine's counter
        begins again below [n], so only arm while no crash has fired *)
-    | Some n when side.crashes = 0 && Machine.crash_points_hit interp < n ->
-        Machine.arm_crash interp ~at:n
+    | Some n when side.crashes = 0 && Interp.crash_points_hit interp < n ->
+        Interp.arm_crash interp ~at:n
     | Some _ -> ()
     | None ->
         if crash_wanted then
-          Machine.arm_crash interp
-            ~at:(Machine.crash_points_hit interp + plan.in_op_at));
+          Interp.arm_crash interp
+            ~at:(Interp.crash_points_hit interp + plan.in_op_at));
     let old_v =
       match op with
       | Insert { key; _ } | Read { key } | Delete { key } ->
@@ -309,18 +309,18 @@ let run_step side ~step ~seed ~index ~cfg ~keys op (plan : Faults.plan) =
                   (read_to_string expected) (read_to_string obs))
        | _ -> ()
      with
-    | Machine.Stopped_at_crash -> crashed := true
+    | Interp.Stopped_at_crash -> crashed := true
     | Mem.Trap m ->
         violate side ~step "trap"
           (Printf.sprintf "%s: %s" (op_to_string op) m);
         side.halted <- true
-    | Machine.Aborted ->
+    | Interp.Aborted ->
         violate side ~step "trap" (op_to_string op ^ ": abort");
         side.halted <- true
-    | Machine.Out_of_fuel ->
+    | Interp.Out_of_fuel ->
         violate side ~step "trap" (op_to_string op ^ ": out of fuel");
         side.halted <- true);
-    Machine.disarm_crash interp;
+    Interp.disarm_crash interp;
     (* a wanted crash the op's crash points never realized becomes a
        boundary crash: the op completed but the cache's durability is
        still up to the injector (forced absolute crashes never fall
@@ -340,7 +340,7 @@ let run_step side ~step ~seed ~index ~cfg ~keys op (plan : Faults.plan) =
       Buffer.add_string side.buf
         (Printf.sprintf "%d !crash pt=%d img=%s reordered=%d torn=%d\n"
            step
-           (Machine.crash_points_hit interp)
+           (Interp.crash_points_hit interp)
            (Digest.to_hex (Digest.bytes image))
            reordered torn);
       (* the op that was cut down (or completed un-durably): its key may

@@ -255,8 +255,8 @@ let binop (op : Instr.binop) a b =
       | Instr.And -> Int (x land y)
       | Instr.Or -> Int (x lor y)
       | Instr.Xor -> Int (x lxor y)
-      | Instr.Shl -> Int (x lsl y)
-      | Instr.Lshr -> Int (x lsr y)
+      | Instr.Shl -> Int (Instr.shl x y)
+      | Instr.Lshr -> Int (Instr.lshr x y)
       | Instr.Eq -> Int (Bool.to_int (x = y))
       | Instr.Ne -> Int (Bool.to_int (x <> y))
       | Instr.Lt -> Int (Bool.to_int (x < y))

@@ -246,8 +246,11 @@ let crash_mid_transaction_prog () =
 
 let test_verify_crash_stop_skips_exit_check () =
   let p = crash_mid_transaction_prog () in
-  let config = { Interp.default_config with Interp.stop_at_crash = Some 1 } in
-  let workload t = ignore (Interp.call t "main" []) in
+  let config = Interp.default_config in
+  let workload t =
+    Interp.arm_crash t ~at:1;
+    ignore (Interp.call t "main" [])
+  in
   let o = Verify.check ~jobs:1 ~workload ~config ~original:p ~repaired:p in
   (* the store is legitimately unpersisted at the crash point the run
      stopped at — but the run never exited, so the implicit at-exit crash

@@ -27,7 +27,10 @@ let test_layout_regions () =
 (* ------------------------------------------------------------------ *)
 (* Mem *)
 
-let mk_mem () = Mem.create []
+let mk_mem ?(globals = []) () =
+  let c = Interp.default_config in
+  Mem.create ~vol_size:c.vol_size ~stack_size:c.stack_size
+    ~global_size:c.global_size ~pm_size:c.pm_size globals
 
 let test_mem_load_store_sizes () =
   let m = mk_mem () in
@@ -74,7 +77,7 @@ let test_mem_pm_alloc_alignment () =
   Alcotest.(check int) "next line" 64 (b - a)
 
 let test_mem_globals () =
-  let m = Mem.create [ ("g1", 8); ("g2", 100) ] in
+  let m = mk_mem ~globals:[ ("g1", 8); ("g2", 100) ] () in
   let a1 = Mem.global_addr m "g1" and a2 = Mem.global_addr m "g2" in
   Alcotest.(check bool) "distinct" true (a1 <> a2);
   Alcotest.(check bool) "in globals region" true
@@ -384,8 +387,8 @@ let test_interp_stop_at_crash () =
         in
         ())
   in
-  let cfg = { Interp.default_config with stop_at_crash = Some 1 } in
-  let t = Interp.create cfg p in
+  let t = Interp.create Interp.default_config p in
+  Interp.arm_crash t ~at:1;
   (match Interp.call t "main" [] with
   | exception Interp.Stopped_at_crash -> ()
   | _ -> Alcotest.fail "expected stop");
@@ -462,10 +465,9 @@ let test_interp_trap_messages () =
     (call_fresh p "d" [ 0 ]);
   Alcotest.(check string) "rem msg" "trap:remainder by zero"
     (call_fresh p "r" [ 0 ]);
-  (* shift amounts mask to [land 62] *)
-  Alcotest.(check string) "shift mask"
-    (Printf.sprintf "ret:%d" (1 lsl (65 land 62)))
-    (call_fresh p "sh" [ 1; 65 ]);
+  (* shift amounts are taken modulo 64: 65 shifts by 1, 63 shifts out *)
+  Alcotest.(check string) "shift mask" "ret:2" (call_fresh p "sh" [ 1; 65 ]);
+  Alcotest.(check string) "shift 63" "ret:0" (call_fresh p "sh" [ 1; 63 ]);
   Alcotest.(check string) "shift 62"
     (Printf.sprintf "ret:%d" (3 lsl 62))
     (call_fresh p "sh" [ 3; 62 ])

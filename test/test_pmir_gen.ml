@@ -40,6 +40,31 @@ let prop_mixed_detection_repairable =
       Verify.effective r.Driver.verification
       && Verify.harm_free r.Driver.verification)
 
+(* Verify, crash sweeps, sim and serve all run with [trace = false]: the
+   flag may only decide whether events are materialized, never what the
+   run computes. Call events take a seq only when tracing, so this also
+   pins that bug classification depends on the relative order of seqs
+   alone. Mixed programs bring helper calls and bugs, crash-family
+   programs bring explicit crash points. *)
+let prop_trace_does_not_change_results =
+  QCheck.Test.make ~name:"tracing does not change results" ~count:60
+    (QCheck.choose [ Pmir_gen.arb_mixed; Pmir_gen.arb_crash ])
+    (fun p ->
+      let run trace =
+        let config =
+          { Interp.default_config with trace; cost = Some Cost.default }
+        in
+        let t = Interp.create config p in
+        Pmir_gen.workload t;
+        Interp.exit_check t;
+        ( Interp.bugs t,
+          Interp.raw_bugs t,
+          Interp.output t,
+          Interp.cost_ns t,
+          Interp.crash_points_hit t )
+      in
+      run true = run false)
+
 let test_generator_shapes () =
   (* one fixed program exercising every step constructor stays valid and
      bug-free under both detectors *)
@@ -68,4 +93,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_detectors_agree_on_bug_free;
     QCheck_alcotest.to_alcotest prop_repair_is_noop_on_bug_free;
     QCheck_alcotest.to_alcotest prop_mixed_detection_repairable;
+    QCheck_alcotest.to_alcotest prop_trace_does_not_change_results;
   ]

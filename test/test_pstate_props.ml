@@ -33,11 +33,16 @@ let arb_ops =
              | Op_fence -> "fence")
            ops))
 
+(* The ops touch only the first 1 KiB of PM, so 4 KiB regions suffice and
+   keep each durable-image copy small. *)
+let small_mem () =
+  Mem.create ~vol_size:4096 ~stack_size:4096 ~global_size:4096 ~pm_size:4096 []
+
 (* replay an op list through a fresh machine, returning the state and the
    history of durable images *)
 let replay ops =
   let ps = Pstate.create () in
-  let m = Mem.create [] in
+  let m = small_mem () in
   let base = Mem.alloc_pm m 1024 in
   let seq = ref 0 in
   let images = ref [ Mem.crash_image m ] in
@@ -133,7 +138,7 @@ let prop_missing_fence_only_when_pending =
 
 let test_commit_chosen_closes_lines_oldest_first () =
   let ps = Pstate.create () in
-  let m = Mem.create [] in
+  let m = small_mem () in
   let base = Mem.alloc_pm m 256 in
   let seq = ref 0 in
   let store_flush addr v =

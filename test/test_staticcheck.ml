@@ -291,6 +291,66 @@ let test_join_drops_fence_after_on_pstate_mismatch () =
   Alcotest.(check (list string)) "no dynamic bug missed" []
     (List.map Report.bug_to_string c.Adapter.missed)
 
+(* ------------------------------------------------------------------ *)
+(* Constant folding *)
+
+(* The static constant fold and the interpreter evaluate every binop over
+   immediates the same way, including shifts by 1, 3, 62, 63, 64, 65 and
+   negative amounts. *)
+let test_fold_matches_interp () =
+  let operands =
+    [
+      (1, 1);
+      (1, 3);
+      (3, 62);
+      (1, 63);
+      (1, 64);
+      (1, 65);
+      (-1, 1);
+      (5, -1);
+      (max_int, 62);
+      (-7, 3);
+    ]
+  in
+  let ops =
+    Instr.[ Add; Sub; Mul; Div; Rem; And; Or; Xor ]
+    @ Instr.[ Shl; Lshr; Eq; Ne; Lt; Le; Gt; Ge ]
+  in
+  let cases =
+    List.concat_map (fun op -> List.map (fun (x, y) -> (op, x, y)) operands) ops
+  in
+  let b = Builder.create () in
+  ignore
+    (Builder.func b "main" [] ~body:(fun fb ->
+         List.iter
+           (fun (op, x, y) ->
+             Builder.call_void fb "emit" [ Builder.binop fb op (i x) (i y) ])
+           cases;
+         Builder.ret_void fb));
+  let p = Builder.program b in
+  Validate.check_exn p;
+  let t, _ = Interp.run p ~entry:"main" ~args:[] in
+  let ctx = Transfer.make_ctx p (Hippo_alias.Andersen.analyze p) in
+  let main = Program.find_exn p "main" in
+  let _, folded =
+    List.fold_left
+      (fun (st, acc) ins ->
+        let st = Transfer.step ctx ~func:"main" ~chain:[] st ins in
+        match Instr.op ins with
+        | Instr.Binop { dst; _ } ->
+            (st, Transfer.eval ctx ~func:"main" st (Value.reg dst) :: acc)
+        | _ -> (st, acc))
+      (Absmem.empty, []) (Func.instrs main)
+  in
+  List.iter2
+    (fun ((op, x, y), dyn) sym ->
+      Alcotest.(check string)
+        (Fmt.str "%s %d, %d" (Instr.binop_to_string op) x y)
+        (Fmt.str "%a" Absmem.pp_sym (Absmem.Int dyn))
+        (Fmt.str "%a" Absmem.pp_sym sym))
+    (List.combine cases (Interp.output t))
+    (List.rev folded)
+
 let suite =
   [
     ("lattice laws", `Quick, test_lattice_laws);
@@ -309,6 +369,7 @@ let suite =
      test_distinct_callsites_distinct_bugs);
     ("join drops stale fence_after", `Quick,
      test_join_drops_fence_after_on_pstate_mismatch);
+    ("constant fold matches interpreter", `Quick, test_fold_matches_interp);
     QCheck_alcotest.to_alcotest prop_static_covers_dynamic;
     QCheck_alcotest.to_alcotest prop_static_repair_dynamically_clean;
   ]
