@@ -618,19 +618,6 @@ let table_par () =
 
 (* E11 — crash-sweep: single-pass dedup vs per-crash-point replay *)
 
-(* Small interpreter buffers: a crash sweep creates one machine per
-   recovery run, and at the default sizes buffer zeroing would dwarf the
-   work being measured. Both strategies run under the same per-subject
-   config, sized to the subject's actual footprint. *)
-let crash_config ~pm_size =
-  {
-    Interp.default_config with
-    Interp.vol_size = 1 lsl 12;
-    stack_size = 1 lsl 14;
-    global_size = 1 lsl 12;
-    pm_size;
-  }
-
 let counter_pmir =
   {pmir|
 ; shadow counter: value at [0], shadow at [64]; the shadow store is
@@ -725,18 +712,15 @@ let crash_subjects () =
     ( "p-clht",
       Pclht.build (),
       clht_setup,
-      "clht_recover_check",
-      crash_config ~pm_size:(1 lsl 15) );
+      "clht_recover_check" );
     ( "counter",
       parsed "counter" counter_pmir,
       ("cnt_init", []) :: List.init 150 (fun _ -> ("cnt_bump", [])),
-      "cnt_check",
-      crash_config ~pm_size:(1 lsl 12) );
+      "cnt_check" );
     ( "pingpong",
       parsed "pingpong" pingpong_pmir,
       ("pp_init", []) :: List.init 150 (fun _ -> ("pp_flip", [])),
-      "pp_check",
-      crash_config ~pm_size:(1 lsl 12) );
+      "pp_check" );
   ]
 
 let table_crash () =
@@ -747,7 +731,7 @@ let table_crash () =
     "runs" "replay" "single" "speedup" "verdicts";
   let rows =
     List.map
-      (fun (id, prog, setup, checker, config) ->
+      (fun (id, prog, setup, checker) ->
         let time f =
           let t0 = Unix.gettimeofday () in
           let r = f () in
@@ -755,16 +739,16 @@ let table_crash () =
         in
         let t_sp, (v_sp, stats) =
           time (fun () ->
-              Crashsim.sweep_with_stats ~config ~jobs:1
+              Crashsim.sweep_with_stats ~jobs:1
                 ~strategy:`Single_pass prog ~setup ~checker ~checker_args:[])
         in
         let t_rp, (v_rp, _) =
           time (fun () ->
-              Crashsim.sweep_with_stats ~config ~jobs:1 ~strategy:`Replay
+              Crashsim.sweep_with_stats ~jobs:1 ~strategy:`Replay
                 prog ~setup ~checker ~checker_args:[])
         in
         let v_sp4 =
-          Crashsim.sweep ~config ~jobs:4 prog ~setup ~checker
+          Crashsim.sweep ~jobs:4 prog ~setup ~checker
             ~checker_args:[]
         in
         let identical = v_sp = v_rp && v_sp = v_sp4 in

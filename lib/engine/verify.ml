@@ -60,7 +60,10 @@ let check ~jobs ~(workload : Interp.t -> unit) ~(config : Interp.config)
   {
     residual_bugs = Interp.bugs t1;
     outputs_match = Interp.output t0 = Interp.output t1;
-    pm_working_match = Bytes.equal (Interp.mem t0).Mem.pm (Interp.mem t1).Mem.pm;
+    pm_working_match =
+      Mem.image_equal
+        (Mem.working_image (Interp.mem t0))
+        (Mem.working_image (Interp.mem t1));
     crash_consistent_improved = None;
   }
 

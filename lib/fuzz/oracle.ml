@@ -15,17 +15,7 @@ type outcome = {
   memo_misses : int;
 }
 
-(* Generated programs touch at most a few hundred PM bytes; the default
-   config would zero a 16 MiB arena per execution. *)
-let interp_config =
-  {
-    Interp.default_config with
-    fuel = 2_000_000;
-    vol_size = 1 lsl 12;
-    stack_size = 1 lsl 12;
-    global_size = 1 lsl 8;
-    pm_size = 1 lsl 12;
-  }
+let interp_config = { Interp.default_config with fuel = 2_000_000 }
 
 let pp_bugs ppf bugs =
   List.iter (fun b -> Fmt.pf ppf "  %a@." Report.pp_bug b) bugs

@@ -43,9 +43,8 @@ type outcome = {
   memo_misses : int;
 }
 
-(** Interpreter configuration for fuzz executions: small memories (the
-    generated programs touch a few hundred bytes; zeroing the default
-    16 MiB PM arena per exec would dominate the run). *)
+(** Interpreter configuration for fuzz executions: the default machine
+    with a 2M-instruction fuel budget. *)
 val interp_config : Hippo_pmcheck.Interp.config
 
 (** Run every applicable oracle on one candidate. *)

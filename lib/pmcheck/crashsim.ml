@@ -158,7 +158,7 @@ let replay_sweep ?config ~jobs prog ~setup ~checker ~checker_args =
     } )
 
 (* The single-pass strategy: one instrumented run captures a fingerprint
-   pair per crash point and a compact snapshot per *distinct* image;
+   pair per crash point and a prefix image per *distinct* image;
    recovery runs once per distinct un-memoized image (fanned out over the
    pool in first-occurrence order, so verdict lists are byte-identical at
    every [jobs]). *)
@@ -168,8 +168,8 @@ let single_pass_sweep ?(config = Interp.default_config) ~jobs ~memo ~prog_sig
   let t = Interp.create cfg prog in
   let mem = Interp.mem t in
   let points = ref [] in
-  (* digest -> compact snapshot, first occurrence only *)
-  let images : (Imghash.digest, Mem.pm_snapshot) Hashtbl.t = Hashtbl.create 64 in
+  (* digest -> prefix image, first occurrence only *)
+  let images : (Imghash.digest, Bytes.t) Hashtbl.t = Hashtbl.create 64 in
   let order = ref [] in
   let capture digest snapshot =
     if not (Hashtbl.mem images digest) then begin
@@ -179,8 +179,8 @@ let single_pass_sweep ?(config = Interp.default_config) ~jobs ~memo ~prog_sig
   in
   Interp.set_crash_hook t (fun () ->
       let dp = Mem.durable_digest mem and dl = Mem.working_digest mem in
-      capture dp (fun () -> Mem.snapshot_durable mem);
-      capture dl (fun () -> Mem.snapshot_working mem);
+      capture dp (fun () -> Mem.crash_image mem);
+      capture dl (fun () -> Mem.working_image mem);
       points := (Interp.crash_points_hit t, dp, dl) :: !points);
   List.iter (fun (f, args) -> ignore (Interp.call t f args)) setup;
   let points = List.rev !points in
@@ -190,8 +190,7 @@ let single_pass_sweep ?(config = Interp.default_config) ~jobs ~memo ~prog_sig
     List.filter (fun d -> not (Hashtbl.mem memo.Memo.table (key d))) order
   in
   let run_one d =
-    recover ~config prog ~checker ~checker_args
-      (Mem.snapshot_to_image (Hashtbl.find images d))
+    recover ~config prog ~checker ~checker_args (Hashtbl.find images d)
   in
   let results =
     if jobs <= 1 then List.map run_one pending

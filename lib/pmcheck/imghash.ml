@@ -28,7 +28,6 @@ type t = { mutable a : int64; mutable b : int64 }
 
 let create () = { a = 0L; b = 0L }
 let copy t = { a = t.a; b = t.b }
-let reset t = t.a <- 0L; t.b <- 0L
 
 (* splitmix64: a full-period mixer, the standard seed expander. *)
 let splitmix64 seed =

@@ -18,11 +18,7 @@ val pp_digest : Format.formatter -> digest -> unit
 type t
 (** A mutable fingerprint accumulator. *)
 
-val create : unit -> t
-(** Fingerprint of an all-zero image. *)
-
 val copy : t -> t
-val reset : t -> unit
 
 val update : t -> off:int -> old_byte:int -> new_byte:int -> unit
 (** Re-fingerprint one byte change at [off]. A no-op when the byte is

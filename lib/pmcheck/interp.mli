@@ -58,8 +58,9 @@ type t
     simulated cost, coverage, crash points. *)
 
 (** [create ?pm_image cfg prog] prepares the program and builds a fresh
-    machine; [pm_image] seeds persistent memory (a restart) and
-    [pm_brk] restores the PM allocator's high-water mark with it. *)
+    machine; [pm_image] (a prefix image, see {!Mem}) seeds persistent
+    memory (a restart) and [pm_brk] restores the PM allocator's
+    high-water mark with it. *)
 val create : ?pm_image:Bytes.t -> ?pm_brk:int -> config -> Program.t -> t
 
 val mem : t -> Mem.t
@@ -110,7 +111,8 @@ val cost_ns : t -> float
 val steps : t -> int
 val pstate : t -> Pstate.t
 
-(** The durable PM image (what a crash would preserve right now). *)
+(** The durable PM image (what a crash would preserve right now), as a
+    prefix implicitly zero-extended to [pm_size] (see {!Mem}). *)
 val crash_image : t -> Bytes.t
 
 val global_addr : t -> string -> int

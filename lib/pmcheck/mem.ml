@@ -5,32 +5,40 @@
     state machine ({!Pstate}) copies ranges into the persisted image when
     they become durable (flush + fence, or [clflush]).
 
+    Each region keeps its logical size and addresses but is backed only by
+    the prefix touched so far: a buffer that grows by doubling (from 4 KiB,
+    capped at the logical size) on the first store past its end. Bytes past
+    the buffer read as zero, so a fresh machine costs nothing per byte of
+    address space and a PM image is just a copy of the buffer — a prefix,
+    implicitly zero-extended to the PM size.
+
     With [~track_images:true] the memory additionally maintains, at O(bytes
-    changed) per operation, a live {!Imghash} fingerprint of both images
-    plus a touched-bytes watermark — the machinery behind the single-pass
-    crash sweep's image capture and deduplication ({!Crashsim}). *)
+    changed) per operation, a live {!Imghash} fingerprint of both images —
+    the single-pass crash sweep's deduplication key ({!Crashsim}). *)
 
 exception Trap of string
 
 let trap fmt = Fmt.kstr (fun m -> raise (Trap m)) fmt
 
-(** Image-capture state, allocated only when tracking is on. Bytes at or
-    beyond [hi] are untouched since creation, hence equal to [pm_initial]
-    in {e both} images — a snapshot need only copy the [hi]-byte prefix. *)
+(** Image-capture state, allocated only when tracking is on. *)
 type tracker = {
-  pm_initial : Bytes.t;  (** the creation-time image, shared by snapshots *)
   work_hash : Imghash.t;
   dur_hash : Imghash.t;
-  mutable hi : int;  (** touched-bytes watermark (PM offset, exclusive) *)
   old_buf : int array;  (** scratch for a store's pre-image (<= 8 bytes) *)
 }
 
+(* A region: [buf] holds the touched prefix of [size] logical bytes
+   starting at address [base]. *)
+type region = { mutable buf : Bytes.t; size : int; base : int }
+
 type t = {
-  vol : Bytes.t;
-  stack : Bytes.t;
-  globals : Bytes.t;
-  pm : Bytes.t;  (** working image: CPU-cache view of PM *)
-  pm_persisted : Bytes.t;  (** durable image: what a crash preserves *)
+  vol : region;
+  stack : region;
+  globals : region;
+  pm : region;  (** working image: CPU-cache view of PM *)
+  mutable pm_persisted : Bytes.t;
+      (** durable image: what a crash preserves; always as long as
+          [pm.buf], so a working offset indexes both *)
   mutable vol_brk : int;
   mutable stack_brk : int;
   mutable pm_brk : int;
@@ -40,15 +48,17 @@ type t = {
 
 let align8 n = (n + 7) land lnot 7
 
+let empty_region ~base size = { buf = Bytes.empty; size; base }
+
 let create ~vol_size ~stack_size ~global_size ~pm_size ?pm_image ?(pm_brk = 0)
     ?(track_images = false) (globals : (string * int) list) =
-  let pm =
+  let pm_buf =
     match pm_image with
     | Some img ->
-        if Bytes.length img <> pm_size then
-          invalid_arg "Mem.create: pm_image size mismatch";
+        if Bytes.length img > pm_size then
+          invalid_arg "Mem.create: pm_image larger than PM";
         Bytes.copy img
-    | None -> Bytes.make pm_size '\000'
+    | None -> Bytes.empty
   in
   let global_addrs, _ =
     List.fold_left
@@ -62,24 +72,16 @@ let create ~vol_size ~stack_size ~global_size ~pm_size ?pm_image ?(pm_brk = 0)
     else
       (* Both images start equal to the seed, so one scratch fingerprint
          seeds both lanes; an unseeded (all-zero) image costs nothing. *)
-      let h =
-        match pm_image with None -> Imghash.create () | Some _ -> Imghash.of_bytes pm
-      in
+      let h = Imghash.of_bytes pm_buf in
       Some
-        {
-          pm_initial = Bytes.copy pm;
-          work_hash = h;
-          dur_hash = Imghash.copy h;
-          hi = 0;
-          old_buf = Array.make 8 0;
-        }
+        { work_hash = h; dur_hash = Imghash.copy h; old_buf = Array.make 8 0 }
   in
   {
-    vol = Bytes.make vol_size '\000';
-    stack = Bytes.make stack_size '\000';
-    globals = Bytes.make global_size '\000';
-    pm;
-    pm_persisted = Bytes.copy pm;
+    vol = empty_region ~base:Layout.vol_base vol_size;
+    stack = empty_region ~base:Layout.stack_base stack_size;
+    globals = empty_region ~base:Layout.global_base global_size;
+    pm = { buf = pm_buf; size = pm_size; base = Layout.pm_base };
+    pm_persisted = Bytes.copy pm_buf;
     vol_brk = 0;
     stack_brk = 0;
     pm_brk;
@@ -92,30 +94,66 @@ let global_addr t name =
   | Some a -> a
   | None -> trap "unknown global @%s" name
 
-(* Region resolution: returns the backing buffer and the offset within it. *)
-let resolve t addr size =
-  let check buf base =
-    let off = addr - base in
-    if off < 0 || off + size > Bytes.length buf then
-      trap "out-of-bounds access at 0x%x (size %d)" addr size;
-    (buf, off)
-  in
+let pm_brk t = t.pm_brk
+
+(* Growth ----------------------------------------------------------------- *)
+
+let extend buf cap =
+  let b = Bytes.make cap '\000' in
+  Bytes.blit buf 0 b 0 (Bytes.length buf);
+  b
+
+(* Grow [r]'s buffer to cover its first [need] bytes ([need <= r.size]);
+   the PM images grow together. *)
+let ensure t r need =
+  let cap = Bytes.length r.buf in
+  if need > cap then begin
+    let rec double c = if c >= need then c else double (2 * c) in
+    let cap = min r.size (double (max 4096 (2 * cap))) in
+    r.buf <- extend r.buf cap;
+    if r == t.pm then t.pm_persisted <- extend t.pm_persisted cap
+  end
+
+(* Region resolution ------------------------------------------------------ *)
+
+let region_of t addr =
   match Layout.region_of_addr addr with
-  | Layout.Vol_heap -> check t.vol Layout.vol_base
-  | Layout.Stack -> check t.stack Layout.stack_base
-  | Layout.Globals -> check t.globals Layout.global_base
-  | Layout.Pm -> check t.pm Layout.pm_base
+  | Layout.Vol_heap -> t.vol
+  | Layout.Stack -> t.stack
+  | Layout.Globals -> t.globals
+  | Layout.Pm -> t.pm
   | Layout.Null_page -> trap "null-page access at 0x%x" addr
   | Layout.Wild -> trap "wild access at 0x%x" addr
 
-let load t ~addr ~size =
-  let buf, off = resolve t addr size in
+(* Every region starts at its base, so [off >= 0] by construction; the
+   hot paths compare only against the buffer's end, and everything past
+   it takes the slow path, which traps against the logical size. *)
+let check_bounds r ~addr ~off ~size =
+  if off + size > r.size then
+    trap "out-of-bounds access at 0x%x (size %d)" addr size
+
+let read_value buf off size =
   match size with
   | 1 -> Bytes.get_uint8 buf off
   | 2 -> Bytes.get_uint16_le buf off
   | 4 -> Int32.to_int (Bytes.get_int32_le buf off) land 0xFFFFFFFF
   | 8 -> Int64.to_int (Bytes.get_int64_le buf off)
   | _ -> trap "bad load size %d" size
+
+(* A load reaching past the buffer: bytes beyond it read as zero, and
+   nothing grows. *)
+let[@inline never] load_slow r ~addr ~off ~size =
+  check_bounds r ~addr ~off ~size;
+  let word = Bytes.make 8 '\000' in
+  let avail = min (min size 8) (Bytes.length r.buf - off) in
+  if avail > 0 then Bytes.blit r.buf off word 0 avail;
+  read_value word 0 size
+
+let load t ~addr ~size =
+  let r = region_of t addr in
+  let off = addr - r.base in
+  if off + size > Bytes.length r.buf then load_slow r ~addr ~off ~size
+  else read_value r.buf off size
 
 let write_value buf off size v =
   match size with
@@ -129,10 +167,17 @@ let write_value buf off size v =
         (Int64.logand (Int64.of_int v) 0x7FFF_FFFF_FFFF_FFFFL)
   | _ -> trap "bad store size %d" size
 
+let[@inline never] store_slow t r ~addr ~off ~size =
+  check_bounds r ~addr ~off ~size;
+  ensure t r (off + size)
+
 let store t ~addr ~size v =
-  let buf, off = resolve t addr size in
+  let r = region_of t addr in
+  let off = addr - r.base in
+  if off + size > Bytes.length r.buf then store_slow t r ~addr ~off ~size;
+  let buf = r.buf in
   match t.track with
-  | Some tr when Layout.is_pm addr ->
+  | Some tr when r == t.pm ->
       for k = 0 to size - 1 do
         tr.old_buf.(k) <- Bytes.get_uint8 buf (off + k)
       done;
@@ -140,8 +185,7 @@ let store t ~addr ~size v =
       for k = 0 to size - 1 do
         Imghash.update tr.work_hash ~off:(off + k) ~old_byte:tr.old_buf.(k)
           ~new_byte:(Bytes.get_uint8 buf (off + k))
-      done;
-      if off + size > tr.hi then tr.hi <- off + size
+      done
   | _ -> write_value buf off size v
 
 (* Copy [len] working/snapshot bytes into the persisted image at [off],
@@ -154,20 +198,21 @@ let persist_tracked tr dst ~off ~len ~byte_at =
       Imghash.update tr.dur_hash ~off:k ~old_byte ~new_byte;
       Bytes.set_uint8 dst k new_byte
     end
-  done;
-  if off + len > tr.hi then tr.hi <- off + len
+  done
 
 (** [persist_range t ~addr ~size] copies working PM content into the
     persisted image (called by {!Pstate} when a range becomes durable). *)
 let persist_range t ~addr ~size =
   let off = addr - Layout.pm_base in
-  if off < 0 || off + size > Bytes.length t.pm then
+  if off < 0 || off + size > t.pm.size then
     trap "persist_range outside PM at 0x%x" addr;
+  ensure t t.pm (off + size);
   match t.track with
   | Some tr ->
+      let src = t.pm.buf in
       persist_tracked tr t.pm_persisted ~off ~len:size ~byte_at:(fun k ->
-          Bytes.get_uint8 t.pm k)
-  | None -> Bytes.blit t.pm off t.pm_persisted off size
+          Bytes.get_uint8 src k)
+  | None -> Bytes.blit t.pm.buf off t.pm_persisted off size
 
 (** [persist_string t ~addr s] makes a flush-time snapshot durable: the
     snapshot bytes (not the current working bytes) are what the flush
@@ -176,19 +221,51 @@ let persist_range t ~addr ~size =
 let persist_string t ~addr s =
   let off = addr - Layout.pm_base in
   let len = String.length s in
-  if off < 0 || off + len > Bytes.length t.pm_persisted then
+  if off < 0 || off + len > t.pm.size then
     trap "persist_string outside PM at 0x%x" addr;
+  ensure t t.pm (off + len);
   match t.track with
   | Some tr ->
       persist_tracked tr t.pm_persisted ~off ~len ~byte_at:(fun k ->
           Char.code (String.unsafe_get s (k - off)))
   | None -> Bytes.blit_string s 0 t.pm_persisted off len
 
+(* Images ----------------------------------------------------------------- *)
+
 (** Snapshot of the durable image: the post-crash PM contents. *)
 let crash_image t = Bytes.copy t.pm_persisted
 
 (** Snapshot of the working image (i.e. assuming everything reached PM). *)
-let working_image t = Bytes.copy t.pm
+let working_image t = Bytes.copy t.pm.buf
+
+(** Equality of two images, each zero-extended to the longer one. *)
+let image_equal a b =
+  let n = max (Bytes.length a) (Bytes.length b) in
+  let byte s k = if k < Bytes.length s then Bytes.get s k else '\000' in
+  let rec from k = k >= n || (byte a k = byte b k && from (k + 1)) in
+  from 0
+
+(* One full-size scratch image per domain for {!image_md5}; [dirty] bytes
+   of it may be nonzero. *)
+type scratch = { mutable img : Bytes.t; mutable dirty : int }
+
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { img = Bytes.empty; dirty = 0 })
+
+(** MD5 of [img] zero-extended to [t]'s PM size: the digest of the full
+    image the prefix stands for. *)
+let image_md5 t img =
+  let s = Domain.DLS.get scratch_key in
+  let size = t.pm.size and n = Bytes.length img in
+  if n > size then invalid_arg "Mem.image_md5: image larger than PM";
+  if Bytes.length s.img < size then begin
+    s.img <- Bytes.make size '\000';
+    s.dirty <- 0
+  end;
+  Bytes.blit img 0 s.img 0 n;
+  if s.dirty > n then Bytes.fill s.img n (s.dirty - n) '\000';
+  s.dirty <- n;
+  Digest.subbytes s.img 0 size
 
 (* Image tracking ---------------------------------------------------------- *)
 
@@ -203,31 +280,11 @@ let working_digest t = Imghash.digest (tracker t).work_hash
 (** Live fingerprint of the durable image. Requires tracking. *)
 let durable_digest t = Imghash.digest (tracker t).dur_hash
 
-(** A compact captured image: the touched prefix plus a shared reference
-    to the creation-time image for the untouched tail. Copying costs
-    O(touched bytes), not O(pm size). *)
-type pm_snapshot = { s_prefix : Bytes.t; s_base : Bytes.t }
-
-let snapshot_durable t =
-  let tr = tracker t in
-  { s_prefix = Bytes.sub t.pm_persisted 0 tr.hi; s_base = tr.pm_initial }
-
-let snapshot_working t =
-  let tr = tracker t in
-  { s_prefix = Bytes.sub t.pm 0 tr.hi; s_base = tr.pm_initial }
-
-(** Materialize a snapshot as a full PM image (for {!create}'s
-    [?pm_image]). *)
-let snapshot_to_image s =
-  let img = Bytes.copy s.s_base in
-  Bytes.blit s.s_prefix 0 img 0 (Bytes.length s.s_prefix);
-  img
-
 (* Allocators ------------------------------------------------------------- *)
 
 let alloc_vol t size =
   let size = align8 (max size 1) in
-  if t.vol_brk + size > Bytes.length t.vol then trap "volatile heap exhausted";
+  if t.vol_brk + size > t.vol.size then trap "volatile heap exhausted";
   let addr = Layout.vol_base + t.vol_brk in
   t.vol_brk <- t.vol_brk + size;
   addr
@@ -236,7 +293,7 @@ let alloc_vol t size =
     this keeps distinct objects from sharing flush granules. *)
 let alloc_pm t size =
   let size = (max size 1 + 63) land lnot 63 in
-  if t.pm_brk + size > Bytes.length t.pm then trap "persistent heap exhausted";
+  if t.pm_brk + size > t.pm.size then trap "persistent heap exhausted";
   let addr = Layout.pm_base + t.pm_brk in
   t.pm_brk <- t.pm_brk + size;
   addr
@@ -247,7 +304,7 @@ let stack_release t mark = t.stack_brk <- mark
 
 let alloc_stack t size =
   let size = align8 (max size 1) in
-  if t.stack_brk + size > Bytes.length t.stack then trap "stack overflow";
+  if t.stack_brk + size > t.stack.size then trap "stack overflow";
   let addr = Layout.stack_base + t.stack_brk in
   t.stack_brk <- t.stack_brk + size;
   addr

@@ -8,10 +8,18 @@
     PMIR is a 63-bit machine (OCaml ints): 8-byte stores mask the sign
     extension so byte 7 round-trips through byte-wise loads.
 
+    Regions keep their logical sizes and addresses, but each is backed
+    only by the prefix touched so far; bytes past it read as zero. A
+    fresh memory therefore costs nothing per byte of address space, and
+    a PM image ({!crash_image}, {!working_image}, [create]'s
+    [?pm_image]) is a prefix of the full image, implicitly zero-extended
+    to the PM size: compare images with {!image_equal}, never with
+    [Bytes.equal].
+
     With [~track_images:true] the memory additionally maintains, at
     O(bytes changed) per operation, a live {!Imghash} fingerprint of both
-    images plus a touched-bytes watermark — the machinery behind the
-    single-pass crash sweep's image capture and dedup ({!Crashsim}). *)
+    images — the single-pass crash sweep's deduplication key
+    ({!Crashsim}). *)
 
 exception Trap of string
 (** Raised on invalid accesses (out of bounds, null page, wild pointers,
@@ -19,30 +27,17 @@ exception Trap of string
 
 val trap : ('a, Format.formatter, unit, 'b) format4 -> 'a
 
-type tracker
-
-type t = {
-  vol : Bytes.t;
-  stack : Bytes.t;
-  globals : Bytes.t;
-  pm : Bytes.t;  (** working image: the CPU-cache view of PM *)
-  pm_persisted : Bytes.t;  (** durable image: what a crash preserves *)
-  mutable vol_brk : int;
-  mutable stack_brk : int;
-  mutable pm_brk : int;
-  global_addrs : (string * int) list;
-  track : tracker option;
-}
+type t
 
 (** [create ~vol_size ~stack_size ~global_size ~pm_size globals] builds a
     fresh memory with regions of those byte sizes (the defaults live in
-    {!Interp.default_config}); [?pm_image] seeds both PM images (a
-    restart from a previous durable image); [?pm_brk] restores the PM
-    allocator's high-water mark alongside the image — a real PM
-    allocator persists its heap metadata, so a restarted program must
-    not re-issue addresses that are already in use (default 0: a fresh
-    pool); [?track_images] (default false) turns on image fingerprinting
-    and snapshots. *)
+    {!Interp.default_config}); [?pm_image] (a prefix image, at most
+    [pm_size] bytes) seeds both PM images (a restart from a previous
+    durable image); [?pm_brk] restores the PM allocator's high-water
+    mark alongside the image — a real PM allocator persists its heap
+    metadata, so a restarted program must not re-issue addresses that
+    are already in use (default 0: a fresh pool); [?track_images]
+    (default false) turns on image fingerprinting. *)
 val create :
   vol_size:int ->
   stack_size:int ->
@@ -55,6 +50,10 @@ val create :
   t
 
 val global_addr : t -> string -> int
+
+(** The PM allocator's high-water mark (persisted with an image, see
+    [create]'s [?pm_brk]). *)
+val pm_brk : t -> int
 
 (** Little-endian load/store of 1, 2, 4 or 8 bytes. *)
 val load : t -> addr:int -> size:int -> int
@@ -70,30 +69,29 @@ val persist_range : t -> addr:int -> size:int -> unit
     wrote back ({!Pstate}'s write-pending-queue drain). *)
 val persist_string : t -> addr:int -> string -> unit
 
-(** Snapshot of the durable image: the post-crash PM contents. *)
+(** Snapshot of the durable image: the post-crash PM contents, as a
+    prefix. O(touched bytes). *)
 val crash_image : t -> Bytes.t
 
-(** Snapshot of the working image (as if everything had reached PM). *)
+(** Snapshot of the working image (as if everything had reached PM), as a
+    prefix. O(touched bytes). *)
 val working_image : t -> Bytes.t
 
+(** Equality of two images, each zero-extended to the longer one. *)
+val image_equal : Bytes.t -> Bytes.t -> bool
+
+(** [image_md5 t img] is the MD5 of [img] zero-extended to [t]'s PM size:
+    the digest of the full-length image the prefix stands for. Hashes
+    through one reused full-size scratch buffer per domain. *)
+val image_md5 : t -> Bytes.t -> Digest.t
+
 (** Live fingerprint of the working image, maintained incrementally. The
-    digest and snapshot functions below trap unless the memory was created
-    with [~track_images:true]. *)
+    digest functions trap unless the memory was created with
+    [~track_images:true]. *)
 val working_digest : t -> Imghash.digest
 
 (** Live fingerprint of the durable image, maintained incrementally. *)
 val durable_digest : t -> Imghash.digest
-
-type pm_snapshot
-(** A compact captured image: the touched-bytes prefix plus a shared
-    reference to the creation-time image. O(touched bytes) to take. *)
-
-val snapshot_durable : t -> pm_snapshot
-val snapshot_working : t -> pm_snapshot
-
-(** Materialize a snapshot as a full PM image, suitable for
-    [create ?pm_image]. *)
-val snapshot_to_image : pm_snapshot -> Bytes.t
 
 val alloc_vol : t -> int -> int
 

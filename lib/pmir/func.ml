@@ -30,9 +30,15 @@ let map_blocks f t = { t with blocks = List.map f t.blocks }
 
 (** [map_instrs f t] rebuilds every block by applying [f] to each
     instruction; [f] returns the list of instructions replacing it, which
-    is how flush/fence insertion is implemented. *)
+    is how flush/fence insertion is implemented. Blocks, and the function,
+    that [f] leaves unchanged are returned physically shared with [t]. *)
 let map_instrs f t =
-  map_blocks (fun b -> { b with instrs = List.concat_map f b.instrs }) t
+  let map_block b =
+    let instrs = List.concat_map f b.instrs in
+    if List.equal ( == ) instrs b.instrs then b else { b with instrs }
+  in
+  let blocks = List.map map_block t.blocks in
+  if List.equal ( == ) blocks t.blocks then t else { t with blocks }
 
 let fold_instrs f acc t =
   List.fold_left (fun acc b -> List.fold_left f acc b.instrs) acc t.blocks

@@ -27,7 +27,9 @@ val map_blocks : (block -> block) -> t -> t
 
 (** [map_instrs f t] rebuilds every block by applying [f] to each
     instruction; [f] returns the list of instructions replacing it, which
-    is how flush/fence insertion is implemented. *)
+    is how flush/fence insertion is implemented. Blocks that [f] leaves
+    unchanged (every instruction mapped to itself, physically) are shared
+    with [t]; when all are, the result is [t] itself. *)
 val map_instrs : (Instr.t -> Instr.t list) -> t -> t
 
 val fold_instrs : ('a -> Instr.t -> 'a) -> 'a -> t -> 'a

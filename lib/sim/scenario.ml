@@ -341,7 +341,7 @@ let run_step side ~step ~seed ~index ~cfg ~keys op (plan : Faults.plan) =
         (Printf.sprintf "%d !crash pt=%d img=%s reordered=%d torn=%d\n"
            step
            (Interp.crash_points_hit interp)
-           (Digest.to_hex (Digest.bytes image))
+           (Digest.to_hex (Mem.image_md5 mem image))
            reordered torn);
       (* the op that was cut down (or completed un-durably): its key may
          legitimately read back old or new *)

@@ -8,16 +8,7 @@ module Gen = Hippo_fuzz.Gen
 module Verify = Hippo_engine.Verify
 module Sweep = Hippo_bugstudy.Sweep
 
-(* Small interpreter buffers: these programs touch a few cache lines and
-   the suites below create hundreds of recovery machines. *)
-let cfg =
-  {
-    Interp.default_config with
-    Interp.vol_size = 1 lsl 12;
-    stack_size = 1 lsl 14;
-    global_size = 1 lsl 12;
-    pm_size = 1 lsl 12;
-  }
+let cfg = Interp.default_config
 
 let setup = [ ("main", []) ]
 let checker = Gen.checker_name
@@ -149,16 +140,15 @@ module R = Hippo_apps.Redis_mini
 
 let test_recovery_then_recrash_chain () =
   let prog = R.build R.Manual in
-  let rcfg = { cfg with Interp.pm_size = 1 lsl 13 } in
-  let s1 = R.start ~config:rcfg ~nbuckets:4 prog in
+  let s1 = R.start ~config:cfg ~nbuckets:4 prog in
   List.iter (fun k -> R.op_insert s1 ~k ~version:1) [ 1; 2; 3 ];
   let crash s =
-    (Interp.crash_image s.R.interp, (Interp.mem s.R.interp).Mem.pm_brk)
+    (Interp.crash_image s.R.interp, Mem.pm_brk (Interp.mem s.R.interp))
   in
   let img1, brk1 = crash s1 in
   Alcotest.(check bool) "allocator mark persisted" true (brk1 > 0);
   let s2 =
-    R.recover_attach (Interp.create ~pm_image:img1 ~pm_brk:brk1 rcfg prog)
+    R.recover_attach (Interp.create ~pm_image:img1 ~pm_brk:brk1 cfg prog)
   in
   Alcotest.(check int) "first recovery validates" 1
     (Interp.call s2.R.interp "cmd_check" []);
@@ -171,7 +161,7 @@ let test_recovery_then_recrash_chain () =
   (* re-crash the recovered instance: second restart of the chain *)
   let img2, brk2 = crash s2 in
   let s3 =
-    R.recover_attach (Interp.create ~pm_image:img2 ~pm_brk:brk2 rcfg prog)
+    R.recover_attach (Interp.create ~pm_image:img2 ~pm_brk:brk2 cfg prog)
   in
   Alcotest.(check int) "second recovery validates" 1
     (Interp.call s3.R.interp "cmd_check" []);
@@ -187,7 +177,7 @@ let test_recovery_then_recrash_chain () =
   (* negative control — the regression this test pins: dropping the
      allocator mark re-issues live addresses, and the next insert
      overwrites the pool from its base *)
-  let sbad = R.recover_attach (Interp.create ~pm_image:img2 rcfg prog) in
+  let sbad = R.recover_attach (Interp.create ~pm_image:img2 cfg prog) in
   let corrupted =
     try
       R.op_insert sbad ~k:10 ~version:1;

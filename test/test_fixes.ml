@@ -417,6 +417,36 @@ let test_apply_portable_style () =
   Alcotest.(check int) "portable fix is effective" 0
     (List.length (Interp.bugs t))
 
+(* A corpus pass retains every repaired program, so the functions a plan
+   does not edit must be the input's own, not rebuilt copies. *)
+let test_apply_shares_unedited_functions () =
+  let b = Builder.create () in
+  Hippo_pmdk_mini.Runtime.add b;
+  let open Builder in
+  let _ =
+    func b "main" [] ~body:(fun fb ->
+        let pm = call fb "pm_alloc" [ i 64 ] in
+        store fb ~addr:pm (i 9);
+        ret_void fb)
+  in
+  let p = Builder.program b in
+  let main = Program.find_exn p "main" in
+  Alcotest.(check bool) "identity map_instrs returns its argument" true
+    (Func.map_instrs (fun ins -> [ ins ]) main == main);
+  let _, bugs = find_bugs p in
+  let oracle = Hippo_alias.Oracle.of_program p in
+  let plan, _, _ = Driver.plan ~oracle p bugs in
+  let repaired, _ = Apply.apply ~oracle p plan in
+  let edited =
+    List.filter
+      (fun f -> not (Program.find_exn repaired (Func.name f) == f))
+      (Program.funcs p)
+  in
+  Alcotest.(check (list string)) "only main is rebuilt" [ "main" ]
+    (List.map Func.name edited);
+  Alcotest.(check bool) "the runtime is shared" true
+    (List.length (Program.funcs p) > 1)
+
 let test_apply_portable_falls_back_without_runtime () =
   let p = prog_flush_fence () in
   let _, bugs = find_bugs p in
@@ -458,6 +488,9 @@ let suite =
     ("apply: flush before fence", `Quick, test_apply_orders_flush_before_fence);
     ("apply: missing point rejected", `Quick, test_apply_missing_insertion_point_rejected);
     ("apply: portable style", `Quick, test_apply_portable_style);
+    ( "apply: shares unedited functions",
+      `Quick,
+      test_apply_shares_unedited_functions );
     ("apply: portable fallback", `Quick, test_apply_portable_falls_back_without_runtime);
     ("apply: original iids preserved", `Quick, test_apply_preserves_original_iids);
   ]

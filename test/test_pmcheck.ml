@@ -105,6 +105,202 @@ let test_mem_string_roundtrip () =
   Alcotest.(check string) "roundtrip" "hello pm"
     (Mem.read_string m ~addr:a ~len:8)
 
+(* Mem against a flat reference model: a table of the bytes written so
+   far, everything else zero. The logical sizes are small and not powers
+   of two, so generated offsets cross each doubling of a 4 KiB-initial
+   buffer, reach the capped last growth step, the last valid byte and one
+   byte past the logical end. *)
+
+type mem_op =
+  | M_load of int * int * int  (** region index, offset, size *)
+  | M_store of int * int * int * int  (** region index, offset, size, value *)
+  | M_persist_range of int * int  (** PM offset, size *)
+  | M_persist_string of int * string  (** PM offset, snapshot bytes *)
+
+let model_regions =
+  [|
+    (Layout.vol_base, 9000);
+    (Layout.stack_base, 5000);
+    (Layout.global_base, 4100);
+    (Layout.pm_base, 20000);
+  |]
+
+let model_pm = 3
+let model_size r = snd model_regions.(r)
+let model_addr r off = fst model_regions.(r) + off
+
+let model_mem ~seed =
+  Mem.create ~vol_size:(model_size 0) ~stack_size:(model_size 1)
+    ~global_size:(model_size 2) ~pm_size:(model_size model_pm)
+    ~track_images:true
+    ?pm_image:(if seed = "" then None else Some (Bytes.of_string seed))
+    []
+
+let gen_mem_case =
+  let open QCheck.Gen in
+  let offset r len =
+    let limit = model_size r in
+    map (max 0)
+      (frequency
+         [
+           (1, int_range 0 64);
+           ( 3,
+             map2
+               (fun k d -> (4096 lsl k) + d)
+               (int_range 0 2) (int_range (-8) 1) );
+           (1, map (fun d -> limit - len + d) (int_range 0 1));
+           (1, int_range 0 limit);
+         ])
+  in
+  let size = frequency [ (12, oneofl [ 1; 2; 4; 8 ]); (1, return 3) ] in
+  let access =
+    int_range 0 3 >>= fun r ->
+    size >>= fun sz ->
+    offset r sz >>= fun off ->
+    oneof
+      [
+        return (M_load (r, off, sz));
+        map (fun v -> M_store (r, off, sz, v)) int;
+      ]
+  in
+  let persist =
+    oneof
+      [
+        ( int_range 1 70 >>= fun sz ->
+          map (fun off -> M_persist_range (off, sz)) (offset model_pm sz) );
+        ( string_size (int_range 1 16) >>= fun str ->
+          map
+            (fun off -> M_persist_string (off, str))
+            (offset model_pm (String.length str)) );
+      ]
+  in
+  pair
+    (string_size (oneof [ return 0; int_range 1 6000 ]))
+    (list_size (int_range 1 60) (frequency [ (4, access); (1, persist) ]))
+
+let print_mem_op = function
+  | M_load (r, off, sz) -> Printf.sprintf "load r%d+%d/%d" r off sz
+  | M_store (r, off, sz, v) -> Printf.sprintf "store r%d+%d/%d<-%d" r off sz v
+  | M_persist_range (off, sz) -> Printf.sprintf "persist_range %d/%d" off sz
+  | M_persist_string (off, str) ->
+      Printf.sprintf "persist_string %d/%d" off (String.length str)
+
+let arb_mem_case =
+  QCheck.make gen_mem_case ~print:(fun (seed, ops) ->
+      Printf.sprintf "seed %d bytes; %s" (String.length seed)
+        (String.concat "; " (List.map print_mem_op ops)))
+
+(* The reference: what each op returns, and the two PM images at the end
+   at full length. *)
+let model_run seed ops =
+  let work = Hashtbl.create 64 and dur = Hashtbl.create 64 in
+  String.iteri
+    (fun k c ->
+      Hashtbl.replace work (model_pm, k) (Char.code c);
+      Hashtbl.replace dur k (Char.code c))
+    seed;
+  let byte r k = Option.value (Hashtbl.find_opt work (r, k)) ~default:0 in
+  let oob r off len = off + len > model_size r in
+  let valid sz = List.mem sz [ 1; 2; 4; 8 ] in
+  let oob_msg r off sz =
+    Printf.sprintf "trap:out-of-bounds access at 0x%x (size %d)"
+      (model_addr r off) sz
+  in
+  let step = function
+    | M_load (r, off, sz) ->
+        if oob r off sz then oob_msg r off sz
+        else if not (valid sz) then Printf.sprintf "trap:bad load size %d" sz
+        else
+          let b = Bytes.init sz (fun k -> Char.chr (byte r (off + k))) in
+          Printf.sprintf "v:%d"
+            (match sz with
+            | 1 -> Bytes.get_uint8 b 0
+            | 2 -> Bytes.get_uint16_le b 0
+            | 4 -> Int32.to_int (Bytes.get_int32_le b 0) land 0xFFFFFFFF
+            | _ -> Int64.to_int (Bytes.get_int64_le b 0))
+    | M_store (r, off, sz, v) ->
+        if oob r off sz then oob_msg r off sz
+        else if not (valid sz) then Printf.sprintf "trap:bad store size %d" sz
+        else begin
+          (* a 63-bit value: the 8th byte carries bits 56..62 only *)
+          for k = 0 to sz - 1 do
+            Hashtbl.replace work (r, off + k) ((v lsr (8 * k)) land 0xFF)
+          done;
+          "ok"
+        end
+    | M_persist_range (off, sz) ->
+        if oob model_pm off sz then
+          Printf.sprintf "trap:persist_range outside PM at 0x%x"
+            (model_addr model_pm off)
+        else begin
+          for k = off to off + sz - 1 do
+            Hashtbl.replace dur k (byte model_pm k)
+          done;
+          "ok"
+        end
+    | M_persist_string (off, str) ->
+        if oob model_pm off (String.length str) then
+          Printf.sprintf "trap:persist_string outside PM at 0x%x"
+            (model_addr model_pm off)
+        else begin
+          String.iteri
+            (fun k c -> Hashtbl.replace dur (off + k) (Char.code c))
+            str;
+          "ok"
+        end
+  in
+  let results = List.map step ops in
+  let image get =
+    Bytes.init (model_size model_pm) (fun k -> Char.chr (get k))
+  in
+  ( results,
+    image (byte model_pm),
+    image (fun k -> Option.value (Hashtbl.find_opt dur k) ~default:0) )
+
+let mem_run m ops =
+  let step op =
+    match op with
+    | M_load (r, off, size) ->
+        Printf.sprintf "v:%d" (Mem.load m ~addr:(model_addr r off) ~size)
+    | M_store (r, off, size, v) ->
+        Mem.store m ~addr:(model_addr r off) ~size v;
+        "ok"
+    | M_persist_range (off, size) ->
+        Mem.persist_range m ~addr:(model_addr model_pm off) ~size;
+        "ok"
+    | M_persist_string (off, str) ->
+        Mem.persist_string m ~addr:(model_addr model_pm off) str;
+        "ok"
+  in
+  List.map (fun op -> try step op with Mem.Trap msg -> "trap:" ^ msg) ops
+
+let prop_mem_matches_model =
+  QCheck.Test.make ~count:300 ~name:"mem matches a flat byte model"
+    arb_mem_case (fun (seed, ops) ->
+      let want, work, dur = model_run seed ops in
+      let m = model_mem ~seed in
+      let got = mem_run m ops in
+      let digest img = Imghash.digest (Imghash.of_bytes img) in
+      let full_seed =
+        Bytes.init (model_size model_pm) (fun k ->
+            if k < String.length seed then seed.[k] else '\000')
+      in
+      if got <> want then
+        QCheck.Test.fail_reportf "results differ:\n%s\nvs model\n%s"
+          (String.concat "; " got) (String.concat "; " want);
+      Mem.image_equal (Mem.working_image m) work
+      && Mem.image_equal (Mem.crash_image m) dur
+      && Imghash.equal_digest (Mem.working_digest m) (digest work)
+      && Imghash.equal_digest (Mem.durable_digest m) (digest dur)
+      && Bytes.length (Mem.working_image m) <= model_size model_pm
+      (* the scratch image is reused: a long image, then a shorter one *)
+      && Digest.equal
+           (Mem.image_md5 m (Mem.working_image m))
+           (Digest.bytes work)
+      && Digest.equal
+           (Mem.image_md5 m (Bytes.of_string seed))
+           (Digest.bytes full_seed))
+
 (* ------------------------------------------------------------------ *)
 (* Pstate *)
 
@@ -437,6 +633,20 @@ let test_interp_global_values () =
   ignore (Interp.call t "main" []);
   Alcotest.(check (list int)) "global round trip" [ 31 ] (Interp.output t)
 
+(* Memory is paid for as it is touched: a default-size machine (about
+   54 MB of address space) must not zero-fill its regions up front. *)
+let test_interp_create_is_lazy () =
+  let p =
+    build_prog (fun b ->
+        ignore (Builder.func b "main" [] ~body:(fun fb -> Builder.ret_void fb)))
+  in
+  let before = Gc.allocated_bytes () in
+  let t = Interp.create Interp.default_config p in
+  let allocated = Gc.allocated_bytes () -. before in
+  ignore (Sys.opaque_identity t);
+  if allocated >= 65536. then
+    Alcotest.failf "Interp.create allocated %.0f bytes (limit 64 KiB)" allocated
+
 (* What a host call leaves behind: its result or the trap message. *)
 let call_result t name args =
   match Interp.call t name args with
@@ -708,6 +918,7 @@ let suite =
     ("mem globals", `Quick, test_mem_globals);
     ("mem persist + crash image", `Quick, test_mem_persist_and_crash_image);
     ("mem string roundtrip", `Quick, test_mem_string_roundtrip);
+    QCheck_alcotest.to_alcotest prop_mem_matches_model;
     ("pstate store/flush/fence", `Quick, test_pstate_store_flush_fence);
     ("pstate clflush immediate", `Quick, test_pstate_clflush_immediate);
     ( "pstate clflush drains pending",
@@ -729,6 +940,7 @@ let suite =
     ("interp cost accounting", `Quick, test_interp_cost_accounting);
     ("interp globals", `Quick, test_interp_global_values);
     ("interp trap messages", `Quick, test_interp_trap_messages);
+    ("interp create is lazy", `Quick, test_interp_create_is_lazy);
     ( "interp arity/undefined function",
       `Quick,
       test_interp_arity_and_undefined );

@@ -33,16 +33,16 @@ let arb_ops =
              | Op_fence -> "fence")
            ops))
 
-(* The ops touch only the first 1 KiB of PM, so 4 KiB regions suffice and
-   keep each durable-image copy small. *)
-let small_mem () =
-  Mem.create ~vol_size:4096 ~stack_size:4096 ~global_size:4096 ~pm_size:4096 []
+let new_mem () =
+  let c = Interp.default_config in
+  Mem.create ~vol_size:c.vol_size ~stack_size:c.stack_size
+    ~global_size:c.global_size ~pm_size:c.pm_size []
 
 (* replay an op list through a fresh machine, returning the state and the
    history of durable images *)
 let replay ops =
   let ps = Pstate.create () in
-  let m = small_mem () in
+  let m = new_mem () in
   let base = Mem.alloc_pm m 1024 in
   let seq = ref 0 in
   let images = ref [ Mem.crash_image m ] in
@@ -79,7 +79,7 @@ let prop_fully_persisted_after_flush_all_fence =
       let all_flushes = List.init 8 (fun s -> Op_flush (s, Instr.Clwb)) in
       let ps, m, _ = replay (ops @ all_flushes @ [ Op_fence ]) in
       Pstate.unpersisted_count ps = 0
-      && Bytes.equal (Mem.crash_image m) (Mem.working_image m))
+      && Mem.image_equal (Mem.crash_image m) (Mem.working_image m))
 
 let prop_image_changes_only_at_durability_events =
   QCheck.Test.make
@@ -94,7 +94,7 @@ let prop_image_changes_only_at_durability_events =
               | Op_flush (_, Instr.Clflush) | Op_fence -> true
               | _ -> false
             in
-            (durability_event || Bytes.equal before after)
+            (durability_event || Mem.image_equal before after)
             && walk ops' images'
         | _ -> true
       in
@@ -138,7 +138,7 @@ let prop_missing_fence_only_when_pending =
 
 let test_commit_chosen_closes_lines_oldest_first () =
   let ps = Pstate.create () in
-  let m = small_mem () in
+  let m = new_mem () in
   let base = Mem.alloc_pm m 256 in
   let seq = ref 0 in
   let store_flush addr v =
